@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="timing table over n, B, p grids")
     bench.add_argument("--sizes", default="10000,50000")
     bench.add_argument("--budget", type=int, default=500)
-    bench.add_argument("--partitions", type=int, default=25)
+    bench.add_argument("--partitions", type=int, default=1)
     bench.add_argument("--queries", type=int, default=50)
     bench.add_argument("--dim", type=int, default=64)
     bench.add_argument("--seed", type=int, default=0)
@@ -346,24 +346,24 @@ def _cmd_bench(args) -> int:
         emb = rng.standard_normal((n, args.dim))
         embq = rng.standard_normal((args.queries, args.dim))
 
-        def kernel(a, b=None):
-            ea = sim.EmbeddingMatrix.from_array(a)
-            eb = sim.EmbeddingMatrix.from_array(b) if b is not None else None
-            return sim.cosine_kernel(ea, eb).data
-
         t0 = time.perf_counter()
-        f = fn.InfoFunction(kind="flqmi", uq=kernel(emb, embq))
+        f = fn.InfoFunction(kind="flqmi", uq=sim.cosine_block(emb, embq))
         variant = gr.default_variant(n)
         gr.greedy_select(f, gr.GreedyConfig(budget=args.budget, variant=variant, seed=args.seed))
         print(f"{'flqmi':10s} {n:8d} {args.budget:6d} {1:4d} {variant:>10s} {time.perf_counter() - t0:9.2f}")
 
+        # logdetmi on rank-(D+1) factors, as run_al builds it
         t0 = time.perf_counter()
-        qq = kernel(embq)
+        qq = sim.cosine_block(embq)
+        fq = sim.cosine_factors(embq)
 
         def make(ids):
-            chunk = emb[ids]
+            fu = sim.cosine_factors(emb[ids])
             return fn.InfoFunction(
-                kind="logdetmi", uu=kernel(chunk), uq=kernel(chunk, embq), qq=qq
+                kind="logdetmi",
+                uu=sim.FactoredKernel(fu),
+                uq=sim.FactoredKernel(fu, fq),
+                qq=qq,
             )
 
         p = args.partitions

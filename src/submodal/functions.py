@@ -37,13 +37,13 @@ from-scratch value within 1e-8 absolute (1e-6 relative for log-det).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .similarity import DEFAULT_LOGDET_EPS
+from .similarity import DEFAULT_LOGDET_EPS, FactoredKernel
 
 SF_KINDS = ("fl", "gc", "logdet")
 SMI_KINDS = ("flvmi", "flqmi", "gcmi", "logdetmi")
@@ -96,25 +96,40 @@ class InfoFunction:
 
     Kernel blocks are the raw rescaled similarities; the log-determinant
     regularization ``eps`` is applied internally to the diagonals of the
-    square blocks, so callers never pre-regularize.
+    square blocks, so callers never pre-regularize.  For the log-det
+    family ``uu``, ``uq`` and ``up`` may instead be ``FactoredKernel``s
+    sharing the U factor (``uu = FactoredKernel(F_U)``, ``uq =
+    FactoredKernel(F_U, F_Q)``, ...); no n x n block is then ever formed.
+    ``qq``, ``pp`` and ``qp`` are always dense.
     """
 
     kind: str
-    uu: np.ndarray | None = None
-    uq: np.ndarray | None = None
-    up: np.ndarray | None = None
+    uu: np.ndarray | FactoredKernel | None = None
+    uq: np.ndarray | FactoredKernel | None = None
+    up: np.ndarray | FactoredKernel | None = None
     qq: np.ndarray | None = None
     pp: np.ndarray | None = None
     qp: np.ndarray | None = None
     gc_lambda: float = 1.0
     eta: float = 1.0
     eps: float | None = None
+    # Lower Cholesky factors of qq + eps I and pp + eps I (log-det family).
+    _chol: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         kind = canonical_kind(self.kind)
         object.__setattr__(self, "kind", kind)
         if self.eps is None:
             object.__setattr__(self, "eps", DEFAULT_LOGDET_EPS if kind in LOGDET_FAMILY else 0.0)
+        factored = isinstance(self.uu, FactoredKernel)
+        if factored and kind not in LOGDET_FAMILY:
+            raise ValueError(f"factored kernels are accepted only by the log-det family, not {kind}")
+        for name in ("qq", "pp", "qp") + (() if factored else ("uq", "up")):
+            if isinstance(getattr(self, name), FactoredKernel):
+                raise ValueError(
+                    f"a factored {name} is not accepted: only uu, uq and up may be "
+                    "factored, and uq/up only alongside a factored uu"
+                )
 
         if kind in RECTANGULAR_ONLY:
             if self.uq is None:
@@ -123,6 +138,10 @@ class InfoFunction:
             n = uq.shape[0]
             object.__setattr__(self, "uq", uq)
             object.__setattr__(self, "uu", None)
+        elif factored:
+            if not self.uu.symmetric:
+                raise ValueError("factored U x U block must be symmetric (no right factor)")
+            n = self.uu.shape[0]
         else:
             if self.uu is None:
                 raise ValueError(f"{kind} requires the square U x U block")
@@ -140,10 +159,14 @@ class InfoFunction:
             if not needed:
                 object.__setattr__(self, name, None)
                 return
-            if val is None:
-                val = _empty_block(n) if square_of is None else np.zeros((0, 0))
-            rows = n if square_of is None else getattr(self, square_of).shape[1]
-            object.__setattr__(self, name, _as_block(val, rows))
+            if square_of is not None:
+                rows = getattr(self, square_of).shape[1]
+                val = np.zeros((0, 0)) if val is None else val
+                object.__setattr__(self, name, _as_block(val, rows))
+            elif factored:
+                object.__setattr__(self, name, _as_factored_cross(val, self.uu, name))
+            else:
+                object.__setattr__(self, name, _as_block(_empty_block(n) if val is None else val, n))
 
         norm("uq", kind in _NEEDS_UQ)
         norm("up", kind in _NEEDS_UP)
@@ -157,12 +180,13 @@ class InfoFunction:
         else:
             object.__setattr__(self, "qp", None)
 
-        # Fail fast on singular query/conditioning blocks.
+        # Fail fast on singular query/conditioning blocks; the factors are
+        # kept for the selection state and evaluate.
         if kind in LOGDET_FAMILY:
             for name in ("qq", "pp"):
                 blk = getattr(self, name)
                 if blk is not None and blk.shape[0] > 0:
-                    _chol_or_raise(blk + self.eps * np.eye(blk.shape[0]), name)
+                    self._chol[name] = _chol_or_raise(_reg(blk, self.eps), name)
 
     @property
     def n(self) -> int:
@@ -180,6 +204,18 @@ class InfoFunction:
             meta["eta"] = self.eta
             meta["heuristic_reconstruction"] = True
         return meta
+
+
+def _as_factored_cross(val, uu: FactoredKernel, name: str) -> FactoredKernel:
+    """U x X block of a factored function; an absent X gets an empty
+    right factor."""
+    if val is None:
+        return FactoredKernel(uu.left, np.zeros((0, uu.left.shape[1])))
+    if not isinstance(val, FactoredKernel):
+        raise ValueError(f"{name} must be factored when uu is factored")
+    if val.left is not uu.left and not np.array_equal(val.left, uu.left):
+        raise ValueError(f"factored {name} must share the U factor of uu")
+    return val
 
 
 def _check_symmetric(uu: np.ndarray, tol: float = 1e-10) -> None:
@@ -273,18 +309,25 @@ def evaluate(f: InfoFunction, selection: Sequence[int]) -> float:
         gcmi = 2.0 * f.gc_lambda * f.uq[A, :].sum()
         return float(gcmi + f.eta * f.uu[:, A].max(axis=1).sum())
 
-    eps = f.eps
-    sa = _reg(f.uu[np.ix_(A, A)], eps)
+    sa = _reg(_cut(f.uu, A, A), f.eps)
     if kind == "logdet":
         return _slogdet_pd(sa, "selection")
     if kind == "logdetmi":
-        cond = _conditioned_square(sa, f.uq[A, :], f.qq, eps)
+        cond = _conditioned_square(sa, _cut(f.uq, A), f._chol.get("qq"))
         return _slogdet_pd(sa, "selection") - _slogdet_pd(cond, "conditioned selection")
     if kind == "logdetcg":
-        return _slogdet_pd(_conditioned_square(sa, f.up[A, :], f.pp, eps), "conditioned selection")
+        cond = _conditioned_square(sa, _cut(f.up, A), f._chol.get("pp"))
+        return _slogdet_pd(cond, "conditioned selection")
     if kind == "logdetcmi":
         return _logdetcmi_ratio(f, A, sa)
     raise AssertionError(f"unhandled kind {kind}")
+
+
+def _cut(block, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """Dense rows x cols sub-block (all columns when cols is None)."""
+    if isinstance(block, FactoredKernel):
+        return block.take(rows, cols)
+    return block[rows, :] if cols is None else block[np.ix_(rows, cols)]
 
 
 def _col_max(block: np.ndarray) -> np.ndarray:
@@ -293,12 +336,12 @@ def _col_max(block: np.ndarray) -> np.ndarray:
     return block.max(axis=1)
 
 
-def _conditioned_square(sa, cross, square, eps) -> np.ndarray:
-    """Schur complement S_A - S_AX (S_X + eps I)^-1 S_XA."""
-    if square.shape[0] == 0:
+def _conditioned_square(sa, cross, lo) -> np.ndarray:
+    """Schur complement S_A - S_AX (S_X + eps I)^-1 S_XA, given the lower
+    Cholesky factor ``lo`` of S_X + eps I (None when X is empty)."""
+    if lo is None:
         return sa
-    cf = cho_factor(_reg(square, eps), lower=True)
-    return sa - cross @ cho_solve(cf, cross.T)
+    return sa - cross @ cho_solve((lo, True), cross.T)
 
 
 def _logdetcmi_ratio(f: InfoFunction, A: np.ndarray, sa: np.ndarray) -> float:
@@ -313,7 +356,8 @@ def _logdetcmi_ratio(f: InfoFunction, A: np.ndarray, sa: np.ndarray) -> float:
     p = f.up.shape[1]
     if q == 0:
         return 0.0
-    qf = cho_factor(_reg(f.qq, eps), lower=True)
+    qf = (f._chol["qq"], True)
+    ua_q, ua_p = _cut(f.uq, A), _cut(f.up, A)
 
     def contraction_logdet(square_reg, cross_q):
         # det(I - square^-1 cross Sq^-1 cross^T), sizes: square m x m, cross m x q
@@ -325,10 +369,8 @@ def _logdetcmi_ratio(f: InfoFunction, A: np.ndarray, sa: np.ndarray) -> float:
         return _slogdet_pd(np.eye(m) - cho_solve(mf, inner), "contraction")
 
     num = contraction_logdet(_reg(f.pp, eps), f.qp.T) if p else 0.0
-    ap_square = np.block(
-        [[sa, f.up[A, :]], [f.up[A, :].T, _reg(f.pp, eps)]]
-    ) if p else sa
-    ap_cross = np.vstack([f.uq[A, :], f.qp.T]) if p else f.uq[A, :]
+    ap_square = np.block([[sa, ua_p], [ua_p.T, _reg(f.pp, eps)]]) if p else sa
+    ap_cross = np.vstack([ua_q, f.qp.T]) if p else ua_q
     den = contraction_logdet(ap_square, ap_cross)
     return num - den
 
@@ -339,12 +381,20 @@ def _logdetcmi_ratio(f: InfoFunction, A: np.ndarray, sa: np.ndarray) -> float:
 
 
 class _ShiftedKernel:
-    """Column provider for M = (uu + eps I) - W^T W (W optional)."""
+    """Column provider for M = (S_UU + eps I) - S_UX (S_XX + eps I)^-1 S_XU
+    over a dense S_UU; ``lo`` is the lower Cholesky factor of
+    S_XX + eps I (None: no conditioning), W = lo^-1 S_XU is whitened once.
 
-    def __init__(self, uu: np.ndarray, eps: float, w: np.ndarray | None):
+    Columns are returned as coordinates that ``at`` (one row) and
+    ``expand`` (the n-vector) read back; a dense column is its own
+    coordinates.
+    """
+
+    def __init__(self, uu: np.ndarray, eps: float, cross=None, lo=None):
         self.uu = uu
         self.eps = eps
-        self.w = w
+        self.w = None if lo is None else solve_triangular(lo, cross.T, lower=True)
+        self.rank = uu.shape[0]
 
     def diag(self) -> np.ndarray:
         d = self.uu.diagonal() + self.eps
@@ -359,29 +409,79 @@ class _ShiftedKernel:
             c -= self.w.T @ self.w[:, j]
         return c
 
+    def at(self, coords: np.ndarray, j: int) -> np.ndarray:
+        """Row j of the vectors with coordinates ``coords``."""
+        return coords[j]
 
-def _whitened_cross(cross: np.ndarray, square: np.ndarray, eps: float, label: str):
-    """W = L^-1 cross^T for square + eps I = L L^T; None when X is empty."""
-    m = square.shape[0] if square is not None else 0
-    if m == 0:
-        return None
-    lo = _chol_or_raise(_reg(square, eps), label)
-    return solve_triangular(lo, cross.T, lower=True)
+    def expand(self, coords: np.ndarray) -> np.ndarray:
+        return coords
+
+
+class _FactoredShiftedKernel:
+    """The same M over S_UU = F F^T (unit diagonal) and S_UX = F F_X^T.
+
+    The conditioning term reduces to the (D+1)^2 core C = G^T G with
+    G = lo^-1 F_X, so column j is F (I - C) F_j + eps e_j and its
+    diagonal entry is 1 + eps - F_j^T C F_j.  Columns are given in the
+    basis F: ``col(j)`` = (I - C) F_j.  That drops eps e_j and the pinned
+    unit diagonal, which touch only row j; diag() carries them, and once
+    j is committed its row is never read again.
+    """
+
+    def __init__(self, uu: FactoredKernel, eps: float, cross=None, lo=None):
+        self.f = uu.left
+        self.eps = eps
+        self.core = None
+        if lo is not None:
+            g = solve_triangular(lo, cross.cols, lower=True)
+            self.core = g.T @ g
+        self.rank = self.f.shape[1]
+
+    def diag(self) -> np.ndarray:
+        d = np.full(self.f.shape[0], 1.0 + self.eps)
+        if self.core is not None:
+            d -= np.einsum("ij,ij->i", self.f @ self.core, self.f)
+        return d
+
+    def col(self, j: int) -> np.ndarray:
+        fj = self.f[j]
+        return fj.copy() if self.core is None else fj - self.core @ fj
+
+    def at(self, coords: np.ndarray, j: int) -> np.ndarray:
+        return self.f[j] @ coords
+
+    def expand(self, coords: np.ndarray) -> np.ndarray:
+        return self.f @ coords
+
+
+def _hstack_cross(uq, up):
+    """The U x (Q union P) block, in the representation of its parts."""
+    if isinstance(uq, FactoredKernel):
+        return FactoredKernel(uq.left, np.vstack([uq.cols, up.cols]))
+    return np.hstack([uq, up])
+
+
+def _shifted_kernel(f: InfoFunction, cross=None, lo=None):
+    """Column provider of the kind's (conditioned) kernel; the type of the
+    U x U block picks the dense or the factored path."""
+    cls = _FactoredShiftedKernel if isinstance(f.uu, FactoredKernel) else _ShiftedKernel
+    return cls(f.uu, f.eps, cross, lo)
 
 
 class _LogDetTerm:
     """Incremental log det over a (possibly conditioned) kernel.
 
-    Maintains, for every ground point x, the Cholesky coefficient vector
-    against the committed set and the squared residual pivot, so a gain
-    is an O(1) lookup and a commit costs O(n |A|).
+    Maintains the columns of the Cholesky factor against the committed
+    set, in the kernel's coordinates, and every ground point's squared
+    residual pivot, so a gain is an O(1) lookup.  A commit costs
+    O(n |A|) on a dense kernel and O(r (n + |A|)) on a factored one of
+    rank r.
     """
 
-    def __init__(self, kernel: _ShiftedKernel):
+    def __init__(self, kernel: _ShiftedKernel | _FactoredShiftedKernel):
         self.kernel = kernel
         self.dsq = kernel.diag().copy()
-        n = self.dsq.shape[0]
-        self.cof = np.zeros((n, 8))
+        self.cof = np.zeros((kernel.rank, 8))
         self.k = 0
         self.warnings = 0
 
@@ -395,12 +495,14 @@ class _LogDetTerm:
             self.warnings += 1
         if self.k == self.cof.shape[1]:
             self.cof = np.concatenate([self.cof, np.zeros_like(self.cof)], axis=1)
-        e = self.kernel.col(j)
+        a = self.kernel.col(j)
         if self.k:
-            e = e - self.cof[:, : self.k] @ self.cof[j, : self.k]
-        e /= math.sqrt(dj2)
-        self.cof[:, self.k] = e
+            prev = self.cof[:, : self.k]
+            a = a - prev @ self.kernel.at(prev, j)
+        a /= math.sqrt(dj2)
+        self.cof[:, self.k] = a
         self.k += 1
+        e = self.kernel.expand(a)
         self.dsq -= e * e
 
 
@@ -437,29 +539,22 @@ class SelectionState:
             if kind == "gccg":
                 self._colsum = self._colsum - 2.0 * f.gc_lambda * f.up.sum(axis=1)
         if kind in LOGDET_FAMILY:
-            wq = _whitened_cross(f.uq, f.qq, eps, "query") if f.uq is not None else None
-            wp = _whitened_cross(f.up, f.pp, eps, "conditioning") if f.up is not None else None
-            plain = _ShiftedKernel(f.uu, eps, None)
+            def term(cross=None, lo=None):
+                return _LogDetTerm(_shifted_kernel(f, cross, lo))
+
+            lq, lp = f._chol.get("qq"), f._chol.get("pp")
             if kind == "logdet":
-                self._terms = [(1.0, _LogDetTerm(plain))]
+                self._terms = [(1.0, term())]
             elif kind == "logdetmi":
-                self._terms = [
-                    (1.0, _LogDetTerm(plain)),
-                    (-1.0, _LogDetTerm(_ShiftedKernel(f.uu, eps, wq))),
-                ]
+                self._terms = [(1.0, term()), (-1.0, term(f.uq, lq))]
             elif kind == "logdetcg":
-                self._terms = [(1.0, _LogDetTerm(_ShiftedKernel(f.uu, eps, wp)))]
+                self._terms = [(1.0, term(f.up, lp))]
             else:  # logdetcmi: condition on P, and on Q union P
-                wqp = _whitened_cross(
-                    np.hstack([f.uq, f.up]),
-                    np.block([[f.qq, f.qp], [f.qp.T, f.pp]]),
-                    eps,
-                    "query+conditioning",
-                )
-                self._terms = [
-                    (1.0, _LogDetTerm(_ShiftedKernel(f.uu, eps, wp))),
-                    (-1.0, _LogDetTerm(_ShiftedKernel(f.uu, eps, wqp))),
-                ]
+                lqp = None
+                if f.qq.shape[0] + f.pp.shape[0]:
+                    joint = np.block([[f.qq, f.qp], [f.qp.T, f.pp]])
+                    lqp = _chol_or_raise(_reg(joint, eps), "query+conditioning")
+                self._terms = [(1.0, term(f.up, lp)), (-1.0, term(_hstack_cross(f.uq, f.up), lqp))]
 
     # -- facility-location helpers -------------------------------------
 

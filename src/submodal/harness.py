@@ -23,6 +23,7 @@ from scipy import stats
 from . import scenarios as sc
 from . import similarity as sim
 from .functions import (
+    LOGDET_FAMILY,
     InfoFunction,
     NumericalError,
     RECTANGULAR_ONLY,
@@ -310,8 +311,8 @@ def compute_metrics(
 def _resolve_partitions(config: RunConfig, kind: str, n_unlabeled: int) -> int:
     p = config.optimizer.partitions
     if p <= 0:
-        if kind in RECTANGULAR_ONLY:
-            p = 1
+        if kind in RECTANGULAR_ONLY or kind in LOGDET_FAMILY:
+            p = 1  # no n x n block to split
         else:
             p = max(1, math.ceil(n_unlabeled / config.optimizer.chunk_target))
     return max(1, min(p, config.budget, n_unlabeled))
@@ -375,40 +376,45 @@ def _submodular_select(
     if config.function.eps is not None:
         fn_kwargs["eps"] = config.function.eps
 
-    def kernel(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-        ea = sim.EmbeddingMatrix.from_array(a)
-        k = sim.cosine_kernel(ea, sim.EmbeddingMatrix.from_array(b) if b is not None else None)
-        return k.data
-
+    kernel = sim.cosine_block
     shared = {}
     if emb_q is not None and kind in ("logdetmi", "logdetcmi"):
         shared["qq"] = kernel(emb_q)
     if emb_p is not None and kind in ("logdetcg", "logdetcmi"):
-        shared["pp"] = kernel(emb_p) if len(emb_p) else np.zeros((0, 0))
+        shared["pp"] = kernel(emb_p)
     if kind == "logdetcmi":
-        shared["qp"] = (
-            kernel(emb_q, emb_p) if len(emb_p) else np.zeros((emb_q.shape[0], 0))
-        )
+        shared["qp"] = kernel(emb_q, emb_p)
+    made = []
 
-    def make_function(local_ids: np.ndarray) -> InfoFunction:
+    def make_function(local_ids: np.ndarray, loaded_uu: np.ndarray | None = None) -> InfoFunction:
+        # Log-det kinds hold rank-(D+1) factors of the pool kernel, never an
+        # n x n block; a loaded kernel puts every kind on dense blocks.
         chunk = emb_u[local_ids]
         blocks = dict(shared)
-        if kind not in RECTANGULAR_ONLY:
-            blocks["uu"] = kernel(chunk)
-        if emb_q is not None:
-            blocks["uq"] = kernel(chunk, emb_q)
-        if emb_p is not None:
-            blocks["up"] = (
-                kernel(chunk, emb_p) if len(emb_p) else np.zeros((len(local_ids), 0))
-            )
+        if kind in LOGDET_FAMILY and loaded_uu is None:
+            fu = sim.cosine_factors(chunk)
+            blocks["uu"] = sim.FactoredKernel(fu)
+            for name, emb in (("uq", emb_q), ("up", emb_p)):
+                if emb is not None:
+                    blocks[name] = sim.FactoredKernel(fu, sim.cosine_factors(emb))
+        else:
+            if kind not in RECTANGULAR_ONLY:
+                blocks["uu"] = kernel(chunk) if loaded_uu is None else loaded_uu
+            for name, emb in (("uq", emb_q), ("up", emb_p)):
+                if emb is not None:
+                    blocks[name] = kernel(chunk, emb)
         f = InfoFunction(kind=kind, **blocks, **fn_kwargs)
+        made.append(f)
         if dump_kernel is not None and not dump_kernel.get("done"):
             primary = blocks.get("uu", blocks.get("uq"))
+            square = "uu" in blocks
+            if isinstance(primary, sim.FactoredKernel):
+                primary = primary.take()
             k = sim.SimilarityKernel(
                 data=primary,
-                symmetric="uu" in blocks,
+                symmetric=square,
                 row_ids=pool[local_ids],
-                col_ids=pool[local_ids] if "uu" in blocks else np.arange(primary.shape[1]),
+                col_ids=pool[local_ids] if square else np.arange(primary.shape[1]),
             )
             sim.save_kernel(k, dump_kernel["path"])
             dump_kernel["done"] = True
@@ -424,29 +430,22 @@ def _submodular_select(
         stop_on_negative=config.optimizer.stop_on_negative,
     )
     try:
-        if p == 1 and load_kernel is not None and kind not in RECTANGULAR_ONLY:
-            loaded = sim.load_kernel(load_kernel["path"])
-            if loaded.shape != (len(pool), len(pool)):
-                raise ValueError(
-                    f"--load-kernel shape {loaded.shape} does not match pool size {len(pool)}"
-                )
-            base = make_function(np.arange(len(pool)))
-            blocks = {
-                name: getattr(base, name)
-                for name in ("uq", "up", "qq", "pp", "qp")
-                if getattr(base, name) is not None
-            }
-            f = InfoFunction(kind=kind, uu=loaded.data, **blocks, **fn_kwargs)
-            res = greedy_select(f, gcfg)
-            load_kernel["done"] = True
-        elif p == 1:
-            res = greedy_select(make_function(np.arange(len(pool))), gcfg)
+        if p == 1:
+            loaded = None
+            if load_kernel is not None and not load_kernel["done"] and kind not in RECTANGULAR_ONLY:
+                loaded = sim.load_kernel(load_kernel["path"]).data
+                if loaded.shape != (len(pool), len(pool)):
+                    raise ValueError(
+                        f"--load-kernel shape {loaded.shape} does not match pool size {len(pool)}"
+                    )
+                load_kernel["done"] = True
+            res = greedy_select(make_function(np.arange(len(pool)), loaded), gcfg)
         else:
             res = partitioned_select(make_function, len(pool), gcfg)
     except NumericalError as exc:
         raise NumericalError(f"round {rnd}: {exc}") from exc
     selected = np.sort(pool[np.asarray(res.chosen, dtype=np.intp)])
-    return selected, float(res.value), res.evaluations
+    return selected, float(res.value), made[0].metadata
 
 
 def run_al(
@@ -472,6 +471,7 @@ def run_al(
     records: list[RoundRecord] = []
     cumulative: list[int] = []
     model = None
+    function_metadata = None
     start = time.perf_counter()
     for rnd in range(1, config.rounds + 1):
         t0 = time.perf_counter()
@@ -494,7 +494,7 @@ def run_al(
             )
             objective = None
         else:
-            selected, objective, _ = _submodular_select(
+            selected, objective, function_metadata = _submodular_select(
                 config, split, model, guard, rnd, dump_kernel=dump, load_kernel=load
             )
         guard.permit(selected)  # labels revealed for the batch
@@ -523,16 +523,8 @@ def run_al(
         "guard_violations": guard.violations,
         "total_elapsed": time.perf_counter() - start,
     }
-    if config.method not in sc.BASELINES:
-        meta = {
-            "kind": config.method,
-            "gc_lambda": config.function.gc_lambda,
-            "eps": config.function.eps,
-        }
-        if config.method == "div_gcmi":
-            meta["eta"] = config.function.eta
-            meta["heuristic_reconstruction"] = True
-        summary["function_metadata"] = meta
+    if function_metadata is not None:
+        summary["function_metadata"] = function_metadata
     return RunResult(
         records=records, model=model, guard_violations=guard.violations, summary=summary
     )

@@ -1,10 +1,13 @@
-"""Dense similarity kernels over embedding vectors.
+"""Similarity kernels over embedding vectors, dense or factored.
 
 Kernels are cosine similarities affinely rescaled to [0, 1] via
 s -> (1 + s) / 2, which keeps square kernels positive semidefinite
 (the rescaled matrix is a convex combination of the all-ones matrix
 and a Gram matrix) and keeps every downstream formula that assumes
-nonnegative similarities well behaved.
+nonnegative similarities well behaved.  The same convex combination
+gives every block a factorization F_a F_b^T with F = [1, a_hat] / sqrt(2)
+of rank D + 1, which the log-determinant family uses instead of an
+n x n block.
 """
 
 from __future__ import annotations
@@ -147,6 +150,77 @@ def cosine_kernel(a: EmbeddingMatrix, b: EmbeddingMatrix | None = None) -> Simil
         col_ids=bm.ids,
         regularization=0.0,
     )
+
+
+def cosine_block(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """``cosine_kernel(a, b).data`` for plain arrays of row vectors."""
+    eb = EmbeddingMatrix.from_array(b) if b is not None else None
+    return cosine_kernel(EmbeddingMatrix.from_array(a), eb).data
+
+
+def cosine_factors(a: np.ndarray) -> np.ndarray:
+    """Rank-(D+1) factor F = [1, a_hat] / sqrt(2) of the rescaled cosine kernel.
+
+    For any two inputs, ``cosine_factors(a) @ cosine_factors(b).T`` equals
+    ``cosine_kernel(a, b).data`` up to rounding (no clipping is needed:
+    unit rows keep |a_hat . b_hat| <= 1 to within an ulp).
+    """
+    emb = EmbeddingMatrix.from_array(a)
+    out = np.empty((emb.rows, emb.dim + 1))
+    out[:, 0] = 1.0
+    out[:, 1:] = _normalized_rows(emb)
+    out *= np.sqrt(0.5)
+    return out
+
+
+@dataclass(frozen=True)
+class FactoredKernel:
+    """Kernel block held as factors, ``left @ right.T``, never materialized.
+
+    ``right=None`` marks the square symmetric block of ``left`` with
+    itself; its diagonal is pinned to exactly 1, as in ``cosine_kernel``.
+    """
+
+    left: np.ndarray
+    right: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("left", "right"):
+            val = getattr(self, name)
+            if val is not None:
+                val = np.ascontiguousarray(np.asarray(val, dtype=np.float64))
+                if val.ndim != 2:
+                    raise ValueError(f"kernel factor must be 2-D, got shape {val.shape}")
+                object.__setattr__(self, name, val)
+        if self.right is not None and self.right.shape[1] != self.left.shape[1]:
+            raise ValueError(
+                f"factor rank mismatch: {self.left.shape[1]} vs {self.right.shape[1]}"
+            )
+
+    @property
+    def symmetric(self) -> bool:
+        return self.right is None
+
+    @property
+    def cols(self) -> np.ndarray:
+        """Factor of the column set (``left`` for a symmetric block)."""
+        return self.left if self.right is None else self.right
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.left.shape[0], self.cols.shape[0]
+
+    def take(self, rows=None, cols=None) -> np.ndarray:
+        """Dense sub-block at index arrays ``rows`` x ``cols`` (None = all)."""
+        whole = rows is None and cols is None
+        rows = np.arange(self.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
+        cols = np.arange(self.shape[1]) if cols is None else np.asarray(cols, dtype=np.intp)
+        out = _big_matmul(self.left[rows], self.cols[cols])
+        if self.symmetric and whole:
+            np.fill_diagonal(out, 1.0)  # no n x n index mask
+        elif self.symmetric:
+            out[rows[:, None] == cols[None, :]] = 1.0
+        return out
 
 
 def regularize(k: SimilarityKernel, eps: float) -> SimilarityKernel:

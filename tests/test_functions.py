@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from submodal.functions import (
     ALL_KINDS,
+    LOGDET_FAMILY,
     GroundTruthOracle,
     InfoFunction,
     NumericalError,
@@ -17,6 +18,8 @@ from submodal.functions import (
     new_state,
     reduce_scmi,
 )
+from submodal.greedy import GreedyConfig, greedy_select
+from submodal.similarity import FactoredKernel, cosine_block, cosine_factors
 from tests.conftest import rescaled_cosine
 
 K3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]])
@@ -361,6 +364,29 @@ class TestValidation:
         with pytest.raises(IndexError):
             evaluate(f, [3])
 
+    def test_factored_blocks_only_for_the_logdet_family(self, rng):
+        fu = cosine_factors(rng.standard_normal((5, 3)))
+        with pytest.raises(ValueError, match="log-det family"):
+            InfoFunction(kind="fl", uu=FactoredKernel(fu))
+        with pytest.raises(ValueError, match="factored qq"):
+            InfoFunction(
+                kind="logdetmi", uu=FactoredKernel(fu), uq=FactoredKernel(fu, fu[:1]),
+                qq=FactoredKernel(fu[:1]),
+            )
+        with pytest.raises(ValueError, match="factored uq"):
+            InfoFunction(kind="logdetmi", uu=rescaled_cosine(rng, 5), uq=FactoredKernel(fu, fu[:1]))
+
+    def test_factored_cross_must_share_the_u_factor(self, rng):
+        fu = cosine_factors(rng.standard_normal((5, 3)))
+        other = cosine_factors(rng.standard_normal((5, 3)))
+        with pytest.raises(ValueError, match="share the U factor"):
+            InfoFunction(
+                kind="logdetcg", uu=FactoredKernel(fu), up=FactoredKernel(other, fu[:2]),
+                pp=cosine_block(fu[:2, 1:]),
+            )
+        with pytest.raises(ValueError, match="must be factored"):
+            InfoFunction(kind="logdetcg", uu=FactoredKernel(fu), up=np.ones((5, 2)), pp=np.eye(2))
+
     def test_div_gcmi_is_flagged_heuristic(self, rng):
         joint = rescaled_cosine(rng, 5)
         f = build("div_gcmi", joint, q=[4])
@@ -396,3 +422,61 @@ def test_commit_sum_matches_evaluate_property(seed, kind, size):
         state.commit(int(x))
     ref = evaluate(f, order.tolist())
     assert abs(state.value - ref) <= tol_for(kind, ref)
+
+
+def dense_and_factored(kind, u, q, p):
+    """One log-det function twice: on dense cosine blocks and on factors."""
+    fu = cosine_factors(u)
+    dense = {"uu": cosine_block(u)}
+    factored = {"uu": FactoredKernel(fu)}
+    for cross, square, x, needs in (("uq", "qq", q, NEEDS_Q), ("up", "pp", p, NEEDS_P)):
+        if kind in needs:
+            dense[cross] = cosine_block(u, x)
+            factored[cross] = FactoredKernel(fu, cosine_factors(x))
+            dense[square] = factored[square] = cosine_block(x)
+    if kind == "logdetcmi":
+        dense["qp"] = factored["qp"] = cosine_block(q, p)
+    return InfoFunction(kind=kind, **dense), InfoFunction(kind=kind, **factored)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(LOGDET_FAMILY)),
+    n=st.integers(2, 24),
+    d=st.integers(2, 8),
+    n_q=st.integers(0, 4),
+    n_p=st.integers(0, 4),
+    dups=st.integers(0, 3),
+)
+def test_factored_logdet_matches_dense_property(seed, kind, n, d, n_q, n_p, dups):
+    g = np.random.default_rng(seed)
+    u = g.standard_normal((n, d))
+    q = g.standard_normal((n_q, d))
+    p = g.standard_normal((n_p, d))
+    for _ in range(dups):  # duplicated rows within U and between U and Q/P
+        u[g.integers(n)] = u[g.integers(n)]
+        if n_q:
+            q[g.integers(n_q)] = u[g.integers(n)]
+        if n_p:
+            p[g.integers(n_p)] = u[g.integers(n)]
+    f_dense, f_fact = dense_and_factored(kind, u, q, p)
+
+    s_dense, s_fact = new_state(f_dense), new_state(f_fact)
+    for x in g.permutation(n):
+        rest = np.flatnonzero(~s_dense._mask)
+        assert np.abs(s_dense.gains(rest) - s_fact.gains(rest)).max() <= 1e-12
+        s_dense.commit(int(x))
+        s_fact.commit(int(x))
+    for size in (1, n // 2, n):
+        A = s_dense.chosen[:size]
+        ref = evaluate(f_dense, A)
+        assert abs(evaluate(f_fact, A) - ref) <= max(1e-8, 1e-6 * abs(ref))
+
+    # Duplicated rows make exactly tied candidates, which rounding orders;
+    # the two lazy runs then agree in their gains, and otherwise in picks.
+    cfg = GreedyConfig(budget=max(1, n // 2), variant="lazy")
+    lazy_dense, lazy_fact = greedy_select(f_dense, cfg), greedy_select(f_fact, cfg)
+    assert np.abs(np.subtract(lazy_fact.gains, lazy_dense.gains)).max() <= 1e-12
+    if dups == 0:
+        assert lazy_fact.chosen == lazy_dense.chosen

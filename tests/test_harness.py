@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from submodal import similarity
 from submodal.cli import cli_main
 from submodal.functions import NumericalError
 from submodal.harness import (
@@ -12,6 +13,7 @@ from submodal.harness import (
     LabelGuard,
     OptimizerConfig,
     RunConfig,
+    _resolve_partitions,
     build_scenario,
     default_acquisition,
     penalty_matrix,
@@ -232,6 +234,37 @@ class TestRunAl:
         assert res.records[1].unique_selected >= res.records[0].unique_selected
 
 
+class TestFactoredKernels:
+    def test_logdet_kinds_never_partition(self):
+        cfg = RunConfig(budget=500)
+        assert _resolve_partitions(cfg, "logdetmi", 50000) == 1
+        assert _resolve_partitions(cfg, "fl", 50000) == 3
+
+    @pytest.mark.parametrize("method", ["logdet", "logdetmi", "logdetcg", "logdetcmi"])
+    def test_logdet_kinds_build_no_pool_by_pool_kernel(self, method, monkeypatch):
+        cfg = tiny_config(method=method)
+        split, _, _ = build_scenario(cfg)
+        smallest_pool = len(split.unlabeled) - cfg.budget * (cfg.rounds - 1)
+        dense = similarity.cosine_kernel
+
+        def guarded(a, b=None):
+            cols = a.rows if b is None else b.rows
+            if min(a.rows, cols) >= smallest_pool:
+                raise AssertionError(f"pool x pool kernel requested: {a.rows} x {cols}")
+            return dense(a, b)
+
+        monkeypatch.setattr(similarity, "cosine_kernel", guarded)
+        res = run_al(cfg)
+        assert [len(r.selected) for r in res.records] == [cfg.budget] * cfg.rounds
+        assert res.summary["function_metadata"]["eps"] == similarity.DEFAULT_LOGDET_EPS
+
+    def test_summary_reports_the_functions_metadata(self):
+        res = run_al(tiny_config(method="flqmi"))
+        meta = res.summary["function_metadata"]
+        assert (meta["kind"], meta["eps"], meta["gc_lambda"]) == ("flqmi", 0.0, 1.0)
+        assert run_al(tiny_config(method="random")).summary.get("function_metadata") is None
+
+
 class TestPenaltyMatrix:
     def test_hand_computed_fixture(self):
         a = np.array([[0.50, 0.60, 0.70], [0.52, 0.61, 0.69], [0.48, 0.59, 0.71]])
@@ -362,6 +395,26 @@ class TestCli:
         kern = tmp_path / "round1.simk"
         assert cli_main(base + ["--output-dir", str(tmp_path / "dump"), "--dump-kernel", str(kern)]) == 0
         assert kern.exists()
+        assert cli_main(base + ["--output-dir", str(tmp_path / "load"), "--load-kernel", str(kern)]) == 0
+
+        def sel(path):
+            return [json.loads(l)["selected"] for l in (path / "records.jsonl").read_text().splitlines()]
+
+        assert sel(tmp_path / "dump") == sel(tmp_path / "load")
+
+    def test_logdet_kernel_dump_load_roundtrip(self, tmp_path):
+        base = [
+            "run", "--scenario", "standard", "--function", "logdetcg", "--rounds", "2",
+            "--budget", "6", "--seed", "2",
+            "--set", 'scenario_params={"num_classes": 3, "dim": 8, "labeled_per_class": 5, "unlabeled_per_class": 15}',
+            "--set", "test_per_class=10",
+            "--set", 'model={"epochs": 40}',
+        ]
+        kern = tmp_path / "round1.simk"
+        assert cli_main(base + ["--output-dir", str(tmp_path / "dump"), "--dump-kernel", str(kern)]) == 0
+        dumped = similarity.load_kernel(kern)
+        assert dumped.symmetric and dumped.shape == (45, 45)
+        assert np.all(np.diag(dumped.data) == 1.0)
         assert cli_main(base + ["--output-dir", str(tmp_path / "load"), "--load-kernel", str(kern)]) == 0
 
         def sel(path):

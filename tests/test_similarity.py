@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from submodal.similarity import (
     EmbeddingMatrix,
+    FactoredKernel,
     SimilarityKernel,
+    cosine_block,
+    cosine_factors,
     cosine_kernel,
     load_kernel,
     regularize,
@@ -73,6 +76,54 @@ class TestCosineKernel:
         k = cosine_kernel(emb(g.standard_normal((n, d)) + 1e-3))
         assert k.data.min() >= 0.0 and k.data.max() <= 1.0
         assert np.linalg.eigvalsh(k.data).min() >= -1e-8
+
+
+class TestCosineFactors:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        m=st.integers(0, 12),
+        d=st.integers(1, 16),
+    )
+    def test_factor_products_match_dense_kernel(self, seed, n, m, d):
+        g = np.random.default_rng(seed)
+        a = g.standard_normal((n, d))
+        a[n // 2] = a[0]  # a duplicated row
+        b = np.vstack([g.standard_normal((m, d)), a[:1]])
+        fa, fb = cosine_factors(a), cosine_factors(b)
+        assert fa.shape == (n, d + 1)
+        assert np.abs(fa @ fb.T - cosine_kernel(emb(a), emb(b)).data).max() <= 2e-15
+        assert np.abs(FactoredKernel(fa).take() - cosine_kernel(emb(a)).data).max() <= 2e-15
+        assert np.abs(FactoredKernel(fa, fb).take() - cosine_block(a, b)).max() <= 2e-15
+
+    def test_square_block_pins_unit_diagonal(self, rng):
+        f = FactoredKernel(cosine_factors(rng.standard_normal((9, 4))))
+        rows = np.array([2, 5, 7, 2])
+        cols = np.array([7, 2, 3])
+        sub = f.take(rows, cols)
+        assert sub[0, 1] == 1.0 and sub[2, 0] == 1.0 and sub[3, 1] == 1.0
+        assert np.all(np.diag(f.take()) == 1.0)
+        assert f.shape == (9, 9) and f.symmetric
+
+    def test_cross_block_shape_and_rank_check(self, rng):
+        fa = cosine_factors(rng.standard_normal((6, 3)))
+        fb = cosine_factors(rng.standard_normal((2, 3)))
+        assert FactoredKernel(fa, fb).shape == (6, 2)
+        assert FactoredKernel(fa, np.zeros((0, 4))).shape == (6, 0)
+        with pytest.raises(ValueError, match="rank mismatch"):
+            FactoredKernel(fa, np.zeros((2, 5)))
+
+    def test_zero_norm_row_rejected(self):
+        with pytest.raises(ValueError, match="zero-norm"):
+            cosine_factors(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    def test_cosine_block_is_the_kernel_data(self, rng):
+        a = rng.standard_normal((7, 3))
+        b = rng.standard_normal((4, 3))
+        assert np.array_equal(cosine_block(a), cosine_kernel(emb(a)).data)
+        assert np.array_equal(cosine_block(a, b), cosine_kernel(emb(a), emb(b)).data)
+        assert cosine_block(a, np.zeros((0, 3))).shape == (7, 0)
 
 
 class TestRegularize:
