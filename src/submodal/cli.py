@@ -1,4 +1,4 @@
-"""Command-line front end: run, sweep, verify, bench.
+"""Command-line front end: run, sweep, verify.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure (singular
 kernel), 4 verification failure.
@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -19,7 +18,6 @@ import numpy as np
 from . import functions as fn
 from . import greedy as gr
 from . import harness as hn
-from . import similarity as sim
 from . import surrogate as sg
 
 EXIT_OK = 0
@@ -37,8 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute one active-learning run")
     _add_config_flags(run)
-    run.add_argument("--dump-kernel", metavar="PATH", help="debug: dump the first kernel built")
-    run.add_argument("--load-kernel", metavar="PATH", help="debug: use a dumped kernel for round 1")
 
     sweep = sub.add_parser("sweep", help="method grid -> penalty matrix CSV")
     _add_config_flags(sweep)
@@ -50,13 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify", help="brute-force oracle suites; exit 0 iff all pass")
 
-    bench = sub.add_parser("bench", help="timing table over n, B, p grids")
-    bench.add_argument("--sizes", default="10000,50000")
-    bench.add_argument("--budget", type=int, default=500)
-    bench.add_argument("--partitions", type=int, default=1)
-    bench.add_argument("--queries", type=int, default=50)
-    bench.add_argument("--dim", type=int, default=64)
-    bench.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -125,7 +114,7 @@ def _default_output_dir(config: hn.RunConfig) -> Path:
     return Path("runs") / f"{config.scenario}-{config.method}-s{config.seed}"
 
 
-def _execute_run(config: hn.RunConfig, dump=None, load=None) -> hn.RunResult:
+def _execute_run(config: hn.RunConfig) -> hn.RunResult:
     out = Path(config.output_dir) if config.output_dir else _default_output_dir(config)
     out.mkdir(parents=True, exist_ok=True)
     jsonl = open(out / "records.jsonl", "w")
@@ -134,9 +123,7 @@ def _execute_run(config: hn.RunConfig, dump=None, load=None) -> hn.RunResult:
             jsonl.write(hn.records_to_jsonl_line(rec) + "\n")
             jsonl.flush()
 
-        result = hn.run_al(
-            config, on_record=flush_record, dump_kernel_path=dump, load_kernel_path=load
-        )
+        result = hn.run_al(config, on_record=flush_record)
     finally:
         jsonl.close()
     with open(out / "summary.json", "w") as fh:
@@ -146,13 +133,18 @@ def _execute_run(config: hn.RunConfig, dump=None, load=None) -> hn.RunResult:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    result = _execute_run(config, dump=args.dump_kernel, load=args.load_kernel)
+    result = _execute_run(config)
     last = result.records[-1]
     print(
         f"{config.scenario}/{config.method}: rounds={len(result.records)} "
         f"accuracy={last.accuracy:.4f} guard_violations={result.guard_violations}"
     )
     return EXIT_OK
+
+
+# Per-round selection counts a scenario records; None where it has no
+# rare (resp. OOD) classes.
+COUNT_FIELDS = ("rare_selected", "id_selected", "unique_selected")
 
 
 def _sweep_worker(payload):
@@ -182,11 +174,25 @@ def _cmd_sweep(args) -> int:
         outputs = [_sweep_worker(j) for j in jobs]
 
     traces = {m: [] for m in methods}
+    counts = {m: {name: [] for name in COUNT_FIELDS} for m in methods}
     for method, seed, trace, records in sorted(outputs, key=lambda o: (o[0], o[1])):
         traces[method].append(trace)
+        for name in COUNT_FIELDS:
+            counts[method][name].append([rec[name] for rec in records])
         with open(out / f"{method}-s{seed}.jsonl", "w") as fh:
             for rec in records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    for method in methods:
+        means = [
+            f"{name}/round={np.round(np.mean(per_seed, axis=0), 2).tolist()}"
+            for name, per_seed in counts[method].items()
+            if None not in per_seed[0]
+        ]
+        finals = np.array(traces[method])[:, -1]
+        print(
+            f"{method:18s} {' '.join(means)} "
+            f"final {args.metric}={finals.mean():.4f} +/- {finals.std():.4f}"
+        )
     pm = hn.penalty_matrix({m: np.array(traces[m]) for m in methods}, alpha=args.alpha)
     pm.to_csv(out / "penalty_matrix.csv")
     print(f"penalty matrix ({args.metric}, alpha={args.alpha}) -> {out / 'penalty_matrix.csv'}")
@@ -338,43 +344,6 @@ def _cmd_verify(_) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-def _cmd_bench(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    print(f"{'kind':10s} {'n':>8s} {'B':>6s} {'p':>4s} {'variant':>10s} {'seconds':>9s}")
-    for n in sizes:
-        emb = rng.standard_normal((n, args.dim))
-        embq = rng.standard_normal((args.queries, args.dim))
-
-        t0 = time.perf_counter()
-        f = fn.InfoFunction(kind="flqmi", uq=sim.cosine_block(emb, embq))
-        variant = gr.default_variant(n)
-        gr.greedy_select(f, gr.GreedyConfig(budget=args.budget, variant=variant, seed=args.seed))
-        print(f"{'flqmi':10s} {n:8d} {args.budget:6d} {1:4d} {variant:>10s} {time.perf_counter() - t0:9.2f}")
-
-        # logdetmi on rank-(D+1) factors, as run_al builds it
-        t0 = time.perf_counter()
-        qq = sim.cosine_block(embq)
-        fq = sim.cosine_factors(embq)
-
-        def make(ids):
-            fu = sim.cosine_factors(emb[ids])
-            return fn.InfoFunction(
-                kind="logdetmi",
-                uu=sim.FactoredKernel(fu),
-                uq=sim.FactoredKernel(fu, fq),
-                qq=qq,
-            )
-
-        p = args.partitions
-        variant = gr.default_variant(math.ceil(n / p))
-        gr.partitioned_select(
-            make, n, gr.GreedyConfig(budget=args.budget, variant=variant, partitions=p, seed=args.seed)
-        )
-        print(f"{'logdetmi':10s} {n:8d} {args.budget:6d} {p:4d} {variant:>10s} {time.perf_counter() - t0:9.2f}")
-    return EXIT_OK
-
-
 def cli_main(argv) -> int:
     parser = build_parser()
     try:
@@ -388,8 +357,6 @@ def cli_main(argv) -> int:
             return _cmd_sweep(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         parser.error(f"unknown command {args.command!r}")
     except fn.NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

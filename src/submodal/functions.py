@@ -558,30 +558,16 @@ class SelectionState:
 
     # -- facility-location helpers -------------------------------------
 
-    def _contrib(self, m: np.ndarray) -> np.ndarray:
+    def _contrib(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # One ufunc sequence for the running and the candidate maxima; with
+        # ``out`` it runs in that buffer, so both produce identical floats.
         kind = self.f.kind
-        if kind in ("fl", "div_gcmi"):
-            return m
-        if kind == "flvmi":
-            return np.minimum(m, self._qmax)
-        if kind == "flcg":
-            return np.maximum(m - self._pmax, 0.0)
-        return np.maximum(np.minimum(m, self._qmax) - self._pmax, 0.0)  # flcmi
-
-    def _contrib_inplace(self, buf: np.ndarray) -> np.ndarray:
-        # Same operation sequence as _contrib, aliased into the scratch
-        # buffer, so both paths produce identical floats.
-        kind = self.f.kind
-        if kind in ("fl", "div_gcmi"):
-            return buf
-        if kind == "flvmi":
-            return np.minimum(buf, self._qmax, out=buf)
-        if kind == "flcg":
-            np.subtract(buf, self._pmax, out=buf)
-            return np.maximum(buf, 0.0, out=buf)
-        np.minimum(buf, self._qmax, out=buf)
-        np.subtract(buf, self._pmax, out=buf)
-        return np.maximum(buf, 0.0, out=buf)
+        if kind in ("flvmi", "flcmi"):
+            m = np.minimum(m, self._qmax, out=out)
+        if kind in ("flcg", "flcmi"):
+            m = np.subtract(m, self._pmax, out=out)
+            m = np.maximum(m, 0.0, out=out)
+        return m  # fl, div_gcmi: the maxima themselves
 
     # -- public API -----------------------------------------------------
 
@@ -604,7 +590,7 @@ class SelectionState:
         kind = self.f.kind
         if kind in ("fl", "flvmi", "flcg", "flcmi"):
             buf = np.maximum(self._cur_max, self.f.uu[x], out=self._scratch)
-            buf = self._contrib_inplace(buf)
+            buf = self._contrib(buf, out=buf)
             np.subtract(buf, self._cur_contrib, out=buf)
             return float(buf.sum())
         if kind == "flqmi":

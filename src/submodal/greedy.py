@@ -158,7 +158,6 @@ def partitioned_select(
     make_function: Callable[[np.ndarray], InfoFunction],
     n: int,
     cfg: GreedyConfig,
-    max_workers: int | None = None,
 ) -> SelectionResult:
     """Randomly partition [0, n) into cfg.partitions chunks, build a fresh
     function per chunk via ``make_function(chunk_indices)``, optimize each
@@ -200,7 +199,7 @@ def partitioned_select(
     if p == 1:
         results = [run_chunk(0)]
     else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        with ThreadPoolExecutor() as pool:
             results = list(pool.map(run_chunk, range(p)))
 
     chosen: list[int] = []

@@ -335,8 +335,6 @@ def _submodular_select(
     model: SurrogateModel,
     guard: LabelGuard,
     rnd: int,
-    dump_kernel=None,
-    load_kernel=None,
 ):
     kind = config.method
     acq = (
@@ -386,12 +384,12 @@ def _submodular_select(
         shared["qp"] = kernel(emb_q, emb_p)
     made = []
 
-    def make_function(local_ids: np.ndarray, loaded_uu: np.ndarray | None = None) -> InfoFunction:
+    def make_function(local_ids: np.ndarray) -> InfoFunction:
         # Log-det kinds hold rank-(D+1) factors of the pool kernel, never an
-        # n x n block; a loaded kernel puts every kind on dense blocks.
+        # n x n block.
         chunk = emb_u[local_ids]
         blocks = dict(shared)
-        if kind in LOGDET_FAMILY and loaded_uu is None:
+        if kind in LOGDET_FAMILY:
             fu = sim.cosine_factors(chunk)
             blocks["uu"] = sim.FactoredKernel(fu)
             for name, emb in (("uq", emb_q), ("up", emb_p)):
@@ -399,25 +397,12 @@ def _submodular_select(
                     blocks[name] = sim.FactoredKernel(fu, sim.cosine_factors(emb))
         else:
             if kind not in RECTANGULAR_ONLY:
-                blocks["uu"] = kernel(chunk) if loaded_uu is None else loaded_uu
+                blocks["uu"] = kernel(chunk)
             for name, emb in (("uq", emb_q), ("up", emb_p)):
                 if emb is not None:
                     blocks[name] = kernel(chunk, emb)
         f = InfoFunction(kind=kind, **blocks, **fn_kwargs)
         made.append(f)
-        if dump_kernel is not None and not dump_kernel.get("done"):
-            primary = blocks.get("uu", blocks.get("uq"))
-            square = "uu" in blocks
-            if isinstance(primary, sim.FactoredKernel):
-                primary = primary.take()
-            k = sim.SimilarityKernel(
-                data=primary,
-                symmetric=square,
-                row_ids=pool[local_ids],
-                col_ids=pool[local_ids] if square else np.arange(primary.shape[1]),
-            )
-            sim.save_kernel(k, dump_kernel["path"])
-            dump_kernel["done"] = True
         return f
 
     p = _resolve_partitions(config, kind, len(pool))
@@ -431,15 +416,7 @@ def _submodular_select(
     )
     try:
         if p == 1:
-            loaded = None
-            if load_kernel is not None and not load_kernel["done"] and kind not in RECTANGULAR_ONLY:
-                loaded = sim.load_kernel(load_kernel["path"]).data
-                if loaded.shape != (len(pool), len(pool)):
-                    raise ValueError(
-                        f"--load-kernel shape {loaded.shape} does not match pool size {len(pool)}"
-                    )
-                load_kernel["done"] = True
-            res = greedy_select(make_function(np.arange(len(pool)), loaded), gcfg)
+            res = greedy_select(make_function(np.arange(len(pool))), gcfg)
         else:
             res = partitioned_select(make_function, len(pool), gcfg)
     except NumericalError as exc:
@@ -451,8 +428,6 @@ def _submodular_select(
 def run_al(
     config: RunConfig,
     on_record: Callable[[RoundRecord], None] | None = None,
-    dump_kernel_path=None,
-    load_kernel_path=None,
 ) -> RunResult:
     """Algorithm-1 style loop: N rounds of retrain / embed / select / label."""
     split, test_x, test_y = build_scenario(config)
@@ -465,8 +440,6 @@ def run_al(
         split.labels,
         np.concatenate([split.labeled, split.validation, split.rare_query]),
     )
-    dump = {"path": dump_kernel_path, "done": False} if dump_kernel_path else None
-    load = {"path": load_kernel_path, "done": False} if load_kernel_path else None
 
     records: list[RoundRecord] = []
     cumulative: list[int] = []
@@ -495,7 +468,7 @@ def run_al(
             objective = None
         else:
             selected, objective, function_metadata = _submodular_select(
-                config, split, model, guard, rnd, dump_kernel=dump, load_kernel=load
+                config, split, model, guard, rnd
             )
         guard.permit(selected)  # labels revealed for the batch
         split = sc.update_ood_sets(split, selected)

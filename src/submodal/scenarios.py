@@ -70,14 +70,6 @@ class ScenarioSplit:
         """Scenario classes plus one appended OOD class when active."""
         return len(self.id_classes) + 1 if self.ood_classes else self.num_classes
 
-    def training_labels(self) -> np.ndarray:
-        """Labels as the surrogate sees them: OOD classes collapse to one."""
-        if not self.ood_classes:
-            return self.labels.copy()
-        out = self.labels.copy()
-        out[np.isin(self.labels, self.ood_classes)] = len(self.id_classes)
-        return out
-
 
 def make_blobs(
     per_class_counts: Sequence[int],

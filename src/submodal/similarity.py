@@ -12,7 +12,6 @@ n x n block.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,9 +20,6 @@ import numpy as np
 # Regularization defaults: the log-determinant family needs an invertible
 # diagonal bump, everything else runs on the raw rescaled kernel.
 DEFAULT_LOGDET_EPS = 1e-2
-
-_MAGIC = b"SIMK"
-_HEADER = struct.Struct("<4sIIB3x")  # magic, n_rows, n_cols, symmetric flag
 
 
 @dataclass(frozen=True)
@@ -257,33 +253,4 @@ def submatrix(k: SimilarityKernel, rows: Sequence[int], cols: Sequence[int]) -> 
         row_ids=k.row_ids[rows],
         col_ids=k.col_ids[cols],
         regularization=k.regularization if sym else 0.0,
-    )
-
-
-def save_kernel(k: SimilarityKernel, path) -> None:
-    """Binary dump: 16-byte header (magic, dims, symmetric flag) then
-    little-endian float64 entries row-major."""
-    n_rows, n_cols = k.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, n_rows, n_cols, 1 if k.symmetric else 0))
-        fh.write(np.ascontiguousarray(k.data, dtype="<f8").tobytes())
-
-
-def load_kernel(path) -> SimilarityKernel:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError(f"truncated kernel file: {path}")
-        magic, n_rows, n_cols, sym = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r} in kernel file: {path}")
-        payload = fh.read(8 * n_rows * n_cols)
-    if len(payload) != 8 * n_rows * n_cols:
-        raise ValueError(f"truncated kernel payload in {path}")
-    data = np.frombuffer(payload, dtype="<f8").reshape(n_rows, n_cols).copy()
-    return SimilarityKernel(
-        data=data,
-        symmetric=bool(sym),
-        row_ids=np.arange(n_rows),
-        col_ids=np.arange(n_cols),
     )

@@ -160,7 +160,3 @@ def uncertainty(model: SurrogateModel, features: np.ndarray) -> UncertaintyScore
     margin = top2[:, 1] - top2[:, 0]
     least_conf = 1.0 - probs.max(axis=1)
     return UncertaintyScores(entropy=entropy, margin=margin, least_confidence=least_conf)
-
-
-def save_weights_csv(model: SurrogateModel, path) -> None:
-    np.savetxt(path, model.weights, delimiter=",")

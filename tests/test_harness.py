@@ -384,44 +384,6 @@ class TestCli:
         monkeypatch.setattr(cli, "_verify_penalty", lambda rng: (False, "forced"))
         assert cli_main(["verify"]) == 4
 
-    def test_kernel_dump_load_roundtrip(self, tmp_path):
-        base = [
-            "run", "--scenario", "standard", "--function", "fl", "--rounds", "1",
-            "--budget", "6", "--seed", "2",
-            "--set", 'scenario_params={"num_classes": 3, "dim": 8, "labeled_per_class": 5, "unlabeled_per_class": 15}',
-            "--set", "test_per_class=10",
-            "--set", 'model={"epochs": 40}',
-        ]
-        kern = tmp_path / "round1.simk"
-        assert cli_main(base + ["--output-dir", str(tmp_path / "dump"), "--dump-kernel", str(kern)]) == 0
-        assert kern.exists()
-        assert cli_main(base + ["--output-dir", str(tmp_path / "load"), "--load-kernel", str(kern)]) == 0
-
-        def sel(path):
-            return [json.loads(l)["selected"] for l in (path / "records.jsonl").read_text().splitlines()]
-
-        assert sel(tmp_path / "dump") == sel(tmp_path / "load")
-
-    def test_logdet_kernel_dump_load_roundtrip(self, tmp_path):
-        base = [
-            "run", "--scenario", "standard", "--function", "logdetcg", "--rounds", "2",
-            "--budget", "6", "--seed", "2",
-            "--set", 'scenario_params={"num_classes": 3, "dim": 8, "labeled_per_class": 5, "unlabeled_per_class": 15}',
-            "--set", "test_per_class=10",
-            "--set", 'model={"epochs": 40}',
-        ]
-        kern = tmp_path / "round1.simk"
-        assert cli_main(base + ["--output-dir", str(tmp_path / "dump"), "--dump-kernel", str(kern)]) == 0
-        dumped = similarity.load_kernel(kern)
-        assert dumped.symmetric and dumped.shape == (45, 45)
-        assert np.all(np.diag(dumped.data) == 1.0)
-        assert cli_main(base + ["--output-dir", str(tmp_path / "load"), "--load-kernel", str(kern)]) == 0
-
-        def sel(path):
-            return [json.loads(l)["selected"] for l in (path / "records.jsonl").read_text().splitlines()]
-
-        assert sel(tmp_path / "dump") == sel(tmp_path / "load")
-
     def test_sweep_produces_penalty_csv(self, tmp_path):
         rc = cli_main(
             ["sweep", "--scenario", "rare", "--methods", "random,flqmi",
@@ -439,3 +401,29 @@ class TestCli:
         rows = {l.split(",")[0]: [float(v) for v in l.split(",")[1:]] for l in lines[1:]}
         assert sum(rows["flqmi"]) >= sum(rows["random"])
         assert (tmp_path / "flqmi-s0.jsonl").exists()
+
+    def test_sweep_prints_per_round_count_means(self, tmp_path, capsys):
+        rc = cli_main(
+            ["sweep", "--scenario", "rare", "--methods", "random,flqmi",
+             "--num-seeds", "2", "--rounds", "2", "--budget", "10",
+             "--set", "scenario_params.unlabeled_common=60",
+             "--set", "scenario_params.dim=10",
+             "--set", "test_per_class=20",
+             "--set", 'model={"epochs": 60}',
+             "--metric", "rare_accuracy",
+             "--output-dir", str(tmp_path)]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        for method in ("random", "flqmi"):
+            runs = [
+                [json.loads(l) for l in (tmp_path / f"{method}-s{s}.jsonl").read_text().splitlines()]
+                for s in (0, 1)
+            ]
+            line = next(l for l in lines if l.startswith(f"{method} "))
+            for name in ("rare_selected", "unique_selected"):
+                means = np.mean([[r[name] for r in recs] for recs in runs], axis=0)
+                assert f"{name}/round={np.round(means, 2).tolist()}" in line
+            assert "id_selected" not in line
+            finals = [recs[-1]["rare_accuracy"] for recs in runs]
+            assert f"final rare_accuracy={np.mean(finals):.4f} +/- {np.std(finals):.4f}" in line

@@ -10,9 +10,7 @@ from submodal.similarity import (
     cosine_block,
     cosine_factors,
     cosine_kernel,
-    load_kernel,
     regularize,
-    save_kernel,
     submatrix,
 )
 
@@ -194,46 +192,3 @@ class TestSubmatrix:
         assert np.array_equal(nested.data, direct.data)
         assert np.array_equal(nested.row_ids, direct.row_ids)
 
-
-class TestKernelFile:
-    def test_roundtrip(self, rng, tmp_path):
-        k = cosine_kernel(emb(rng.standard_normal((6, 4))))
-        path = tmp_path / "k.simk"
-        save_kernel(k, path)
-        loaded = load_kernel(path)
-        assert loaded.shape == (6, 6)
-        assert loaded.symmetric
-        assert np.array_equal(loaded.data, k.data)
-
-    def test_rectangular_roundtrip(self, rng, tmp_path):
-        a = emb(rng.standard_normal((4, 3)))
-        b = emb(rng.standard_normal((2, 3)))
-        k = cosine_kernel(a, b)
-        path = tmp_path / "k.simk"
-        save_kernel(k, path)
-        loaded = load_kernel(path)
-        assert loaded.shape == (4, 2)
-        assert not loaded.symmetric
-        assert np.array_equal(loaded.data, k.data)
-
-    def test_header_is_sixteen_bytes_with_magic(self, rng, tmp_path):
-        k = cosine_kernel(emb(rng.standard_normal((3, 2))))
-        path = tmp_path / "k.simk"
-        save_kernel(k, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"SIMK"
-        assert len(raw) == 16 + 8 * 9
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.simk"
-        path.write_bytes(b"NOPE" + bytes(12))
-        with pytest.raises(ValueError, match="magic"):
-            load_kernel(path)
-
-    def test_truncated_payload_rejected(self, rng, tmp_path):
-        k = cosine_kernel(emb(rng.standard_normal((3, 2))))
-        path = tmp_path / "k.simk"
-        save_kernel(k, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            load_kernel(path)
