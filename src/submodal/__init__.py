@@ -10,7 +10,6 @@ from .functions import (
     evaluate,
     from_joint,
     new_state,
-    reduce_scmi,
 )
 from .greedy import (
     GreedyConfig,
@@ -21,7 +20,7 @@ from .greedy import (
 )
 from .harness import PenaltyMatrix, RoundRecord, RunConfig, RunResult, penalty_matrix, run_al
 from .scenarios import ScenarioSplit, baseline_select, make_blobs, update_ood_sets
-from .similarity import EmbeddingMatrix, SimilarityKernel, cosine_kernel, regularize, submatrix
+from .similarity import EmbeddingMatrix, SimilarityKernel, cosine_kernel
 from .surrogate import (
     SurrogateModel,
     TrainConfig,

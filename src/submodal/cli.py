@@ -18,6 +18,7 @@ import numpy as np
 from . import functions as fn
 from . import greedy as gr
 from . import harness as hn
+from . import similarity as sim
 from . import surrogate as sg
 
 EXIT_OK = 0
@@ -206,21 +207,13 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _random_rescaled_kernel(rng, n, d=6):
-    x = rng.standard_normal((n, d))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    s = 0.5 * (1.0 + x @ x.T)
-    np.fill_diagonal(s, 1.0)
-    return s
-
-
 def _verify_oracle_identities(rng) -> tuple[bool, str]:
     from itertools import combinations
 
     worst = 0.0
     for _ in range(20):
         n = int(rng.integers(6, 9))
-        joint = _random_rescaled_kernel(rng, n)
+        joint = sim.cosine_block(rng.standard_normal((n, 6)))
         perm = rng.permutation(n)
         q = sorted(int(i) for i in perm[:2])
         p = sorted(int(i) for i in perm[2:4])
@@ -256,7 +249,7 @@ def _verify_oracle_identities(rng) -> tuple[bool, str]:
 def _verify_reductions(rng) -> tuple[bool, str]:
     from itertools import combinations
 
-    joint = _random_rescaled_kernel(rng, 6)
+    joint = sim.cosine_block(rng.standard_normal((6, 6)))
     q = [4, 5]
     pairs = [
         (fn.from_joint("flcmi", joint, query=q, conditioning=[]), fn.from_joint("flvmi", joint, query=q)),
@@ -278,7 +271,7 @@ def _verify_reductions(rng) -> tuple[bool, str]:
 def _verify_greedy(rng) -> tuple[bool, str]:
     bound = 1.0 - 1.0 / math.e
     for t in range(20):
-        joint = _random_rescaled_kernel(rng, 12)
+        joint = sim.cosine_block(rng.standard_normal((12, 6)))
         f = fn.from_joint("flvmi", joint, query=[10, 11])
         naive = gr.greedy_select(f, gr.GreedyConfig(budget=3, variant="naive"))
         lazy = gr.greedy_select(f, gr.GreedyConfig(budget=3, variant="lazy"))

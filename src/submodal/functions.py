@@ -90,6 +90,19 @@ def _as_block(arr, n_rows: int | None = None) -> np.ndarray:
     return out
 
 
+def _sized_block(val, shape: tuple[int, int], name: str) -> np.ndarray:
+    """A dense Q/P-sided block of exactly ``shape``; it may be absent
+    only when it is empty."""
+    if val is None:
+        if shape[0] and shape[1]:
+            raise ValueError(f"{name} block of shape {shape} is required, got None")
+        return np.zeros(shape)
+    out = _as_block(val)
+    if out.shape != shape:
+        raise ValueError(f"{name} block must have shape {shape}, got {out.shape}")
+    return out
+
+
 @dataclass(frozen=True)
 class InfoFunction:
     """Immutable acquisition function over a fixed ground set.
@@ -152,33 +165,27 @@ class InfoFunction:
             n = uu.shape[0]
             object.__setattr__(self, "uu", uu)
 
-        def norm(name, needed, square_of=None):
-            val = getattr(self, name)
+        for name, needed in (("uq", kind in _NEEDS_UQ), ("up", kind in _NEEDS_UP)):
             if name == "uq" and kind in RECTANGULAR_ONLY:
-                return
+                continue  # normalized above
+            val = getattr(self, name)
             if not needed:
-                object.__setattr__(self, name, None)
-                return
-            if square_of is not None:
-                rows = getattr(self, square_of).shape[1]
-                val = np.zeros((0, 0)) if val is None else val
-                object.__setattr__(self, name, _as_block(val, rows))
+                val = None
             elif factored:
-                object.__setattr__(self, name, _as_factored_cross(val, self.uu, name))
+                val = _as_factored_cross(val, self.uu, name)
             else:
-                object.__setattr__(self, name, _as_block(_empty_block(n) if val is None else val, n))
+                val = _as_block(_empty_block(n) if val is None else val, n)
+            object.__setattr__(self, name, val)
 
-        norm("uq", kind in _NEEDS_UQ)
-        norm("up", kind in _NEEDS_UP)
-        norm("qq", kind in _NEEDS_QQ, square_of="uq")
-        norm("pp", kind in _NEEDS_PP, square_of="up")
-        if kind in _NEEDS_QP:
-            qp = self.qp
-            if qp is None:
-                qp = np.zeros((self.uq.shape[1], self.up.shape[1]))
-            object.__setattr__(self, "qp", _as_block(qp, self.uq.shape[1]))
-        else:
-            object.__setattr__(self, "qp", None)
+        q = self.uq.shape[1] if self.uq is not None else 0
+        p = self.up.shape[1] if self.up is not None else 0
+        for name, needed, shape in (
+            ("qq", kind in _NEEDS_QQ, (q, q)),
+            ("pp", kind in _NEEDS_PP, (p, p)),
+            ("qp", kind in _NEEDS_QP, (q, p)),
+        ):
+            val = _sized_block(getattr(self, name), shape, name) if needed else None
+            object.__setattr__(self, name, val)
 
         # Fail fast on singular query/conditioning blocks; the factors are
         # kept for the selection state and evaluate.
@@ -641,7 +648,7 @@ def new_state(f: InfoFunction) -> SelectionState:
 
 
 # ---------------------------------------------------------------------------
-# Definitional composites (test oracle) and Table-1 reductions
+# Definitional composites (test oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -690,14 +697,6 @@ class GroundTruthOracle:
         return self.sf(ap) + self.sf(qp) - self.sf(ap | set(Q)) - self.sf(P)
 
 
-GROUND = "ground"
-
-_SCMI_REDUCTIONS = {
-    "flcmi": {"sf": "fl", "smi": "flvmi", "scg": "flcg"},
-    "logdetcmi": {"sf": "logdet", "smi": "logdetmi", "scg": "logdetcg"},
-}
-
-
 def from_joint(
     kind: str,
     joint: np.ndarray,
@@ -709,7 +708,7 @@ def from_joint(
 
     The selectable ground set is the full index range of ``joint``; Q and
     P are index lists into it.  Used by the definitional-identity tests
-    and by the Table-1 reductions.
+    and the Table-1 reduction checks.
     """
     kind = canonical_kind(kind)
     joint = _as_block(joint)
@@ -729,41 +728,3 @@ def from_joint(
     if kind in _NEEDS_QP:
         blocks["qp"] = joint[np.ix_(Q, P)]
     return InfoFunction(kind=kind, **blocks, **kwargs)
-
-
-def reduce_scmi(
-    kind: str,
-    joint: np.ndarray,
-    query,
-    conditioning,
-    **kwargs,
-) -> InfoFunction:
-    """Reduce a conditional-mutual-information kind per its Q/P choices.
-
-    query may be GROUND (the whole unlabeled set) or an index list;
-    conditioning may be None/empty or an index list.  Q = ground with
-    empty P yields the plain submodular function, a proper Q with empty
-    P yields the mutual-information instantiation, Q = ground with a
-    proper P yields the conditional-gain instantiation, and anything
-    else keeps the full conditional form.
-    """
-    kind = canonical_kind(kind)
-    if kind not in _SCMI_REDUCTIONS:
-        raise ValueError(f"reduce_scmi expects a conditional-MI kind, got {kind!r}")
-    joint = _as_block(joint)
-    n = joint.shape[0]
-    table = _SCMI_REDUCTIONS[kind]
-
-    is_ground = isinstance(query, str) and query == GROUND
-    if not is_ground and query is not None:
-        q_idx = np.asarray(query, dtype=np.intp)
-        is_ground = q_idx.size == n and np.array_equal(np.sort(q_idx), np.arange(n))
-    p_empty = conditioning is None or len(conditioning) == 0
-
-    if is_ground and p_empty:
-        return from_joint(table["sf"], joint, **kwargs)
-    if p_empty:
-        return from_joint(table["smi"], joint, query=query, **kwargs)
-    if is_ground:
-        return from_joint(table["scg"], joint, conditioning=conditioning, **kwargs)
-    return from_joint(kind, joint, query=query, conditioning=conditioning, **kwargs)

@@ -90,18 +90,7 @@ def greedy_select(f: InfoFunction, cfg: GreedyConfig) -> SelectionResult:
     evals = 0
     gains: list[float] = []
 
-    if cfg.variant == "naive":
-        for _ in range(budget):
-            cands = np.flatnonzero(~state._mask)
-            step = state.gains(cands)
-            evals += len(cands)
-            best = int(cands[int(np.argmax(step))])
-            top = float(step[np.argmax(step)])
-            if cfg.stop_on_negative and top < 0.0:
-                break
-            gains.append(state.commit(best))
-
-    elif cfg.variant == "lazy":
+    if cfg.variant == "lazy":
         # Heap of (-gain, index, fresh_at); an entry is fresh when its gain
         # was computed at the current selection size.  Valid because gains
         # are nonincreasing under submodularity.
@@ -116,23 +105,22 @@ def greedy_select(f: InfoFunction, cfg: GreedyConfig) -> SelectionResult:
                     break
                 gains.append(state.commit(x))
             else:
-                g = float(state.gains(np.array([x]))[0])
                 evals += 1
-                heapq.heappush(heap, (-g, x, len(state.chosen)))
+                heapq.heappush(heap, (-state.gain(x), x, len(state.chosen)))
 
-    else:  # stochastic
+    else:  # naive scans every unchosen point, stochastic a sorted sample
         rng = np.random.default_rng(cfg.seed)
         s = stochastic_sample_size(n, budget, cfg.epsilon)
         for _ in range(budget):
-            pool = np.flatnonzero(~state._mask)
-            take = min(s, len(pool))
-            sample = np.sort(rng.choice(pool, size=take, replace=False))
-            step = state.gains(sample)
-            evals += take
-            best = int(sample[int(np.argmax(step))])
-            if cfg.stop_on_negative and float(step.max()) < 0.0:
+            cands = np.flatnonzero(~state._mask)
+            if cfg.variant == "stochastic":
+                cands = np.sort(rng.choice(cands, size=min(s, len(cands)), replace=False))
+            step = state.gains(cands)
+            evals += len(cands)
+            best = int(np.argmax(step))
+            if cfg.stop_on_negative and step[best] < 0.0:
                 break
-            gains.append(state.commit(best))
+            gains.append(state.commit(int(cands[best])))
 
     return SelectionResult(
         chosen=tuple(state.chosen),

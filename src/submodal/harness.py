@@ -382,7 +382,8 @@ def _submodular_select(
         shared["pp"] = kernel(emb_p)
     if kind == "logdetcmi":
         shared["qp"] = kernel(emb_q, emb_p)
-    made = []
+    # Chunks differ only in their ground set; the summary reports the pool.
+    metadata = {}
 
     def make_function(local_ids: np.ndarray) -> InfoFunction:
         # Log-det kinds hold rank-(D+1) factors of the pool kernel, never an
@@ -402,7 +403,7 @@ def _submodular_select(
                 if emb is not None:
                     blocks[name] = kernel(chunk, emb)
         f = InfoFunction(kind=kind, **blocks, **fn_kwargs)
-        made.append(f)
+        metadata.update(f.metadata, ground_size=len(pool))
         return f
 
     p = _resolve_partitions(config, kind, len(pool))
@@ -422,7 +423,7 @@ def _submodular_select(
     except NumericalError as exc:
         raise NumericalError(f"round {rnd}: {exc}") from exc
     selected = np.sort(pool[np.asarray(res.chosen, dtype=np.intp)])
-    return selected, float(res.value), made[0].metadata
+    return selected, float(res.value), metadata
 
 
 def run_al(

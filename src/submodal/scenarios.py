@@ -9,7 +9,6 @@ matched test sets share the means without repeating pool points.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -47,8 +46,6 @@ class ScenarioSplit:
     rare_classes: tuple[int, ...] = ()
     id_classes: tuple[int, ...] = ()
     ood_classes: tuple[int, ...] = ()
-    rho: float | None = None
-    redundancy_factor: int | None = None
     spread: float = 0.5
     mean_seed: int = 0
     initial_labeled: np.ndarray = field(default=None)
@@ -239,7 +236,6 @@ def build_rare_split(cfg: RareSplitConfig) -> ScenarioSplit:
         duplication_map=np.arange(len(labels)),
         num_classes=classes,
         rare_classes=rare,
-        rho=cfg.rho,
         spread=cfg.spread,
         mean_seed=cfg.seed,
     )
@@ -286,7 +282,6 @@ def build_redundant_split(cfg: RedundantSplitConfig) -> ScenarioSplit:
         labeled_ood=np.array([], dtype=np.intp),
         duplication_map=dup_map,
         num_classes=cfg.num_classes,
-        redundancy_factor=cfg.redundancy_factor,
         spread=cfg.spread,
         mean_seed=cfg.seed,
     )
@@ -388,62 +383,3 @@ def baseline_select(
     else:
         order = np.lexsort((pool, -scores.least_confidence))
     return np.sort(pool[order[:budget]])
-
-
-# ---------------------------------------------------------------------------
-# CSV interfaces
-# ---------------------------------------------------------------------------
-
-
-def write_dataset_csv(split: ScenarioSplit, path) -> None:
-    """Header id,label,f0..f{d-1}; one row per pool point."""
-    d = split.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"] + [f"f{i}" for i in range(d)])
-        for i in range(len(split.labels)):
-            writer.writerow(
-                [i, int(split.labels[i])] + [repr(float(v)) for v in split.features[i]]
-            )
-
-
-def write_roles_csv(split: ScenarioSplit, path) -> None:
-    role_of = {}
-    for role, idx in (
-        ("labeled", split.labeled),
-        ("unlabeled", split.unlabeled),
-        ("rare_query", split.rare_query),
-        ("validation", split.validation),
-    ):
-        for i in idx:
-            role_of[int(i)] = role
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "role"])
-        for i in sorted(role_of):
-            writer.writerow([i, role_of[i]])
-
-
-def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (ids, labels, features) from the dataset CSV format."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["id", "label"]:
-            raise ValueError(f"unexpected dataset header: {header[:2]}")
-        ids, labels, feats = [], [], []
-        for row in reader:
-            ids.append(int(row[0]))
-            labels.append(int(row[1]))
-            feats.append([float(v) for v in row[2:]])
-    return np.array(ids), np.array(labels, dtype=np.intp), np.array(feats)
-
-
-def load_roles_csv(path) -> dict[str, np.ndarray]:
-    roles: dict[str, list[int]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            roles.setdefault(row[1], []).append(int(row[0]))
-    return {k: np.array(sorted(v), dtype=np.intp) for k, v in roles.items()}

@@ -65,18 +65,13 @@ class EmbeddingMatrix:
 
 @dataclass(frozen=True)
 class SimilarityKernel:
-    """Dense row-major similarity matrix, square or rectangular.
-
-    Entries live in [0, 1] after rescaling; a square symmetric kernel
-    carries an optional diagonal regularization eps recorded in
-    ``regularization`` (diagonal entries are then 1 + eps).
-    """
+    """Dense row-major similarity matrix, square or rectangular, with
+    entries in [0, 1] after rescaling."""
 
     data: np.ndarray
     symmetric: bool
     row_ids: np.ndarray
     col_ids: np.ndarray
-    regularization: float = 0.0
 
     def __post_init__(self):
         data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
@@ -124,8 +119,7 @@ def cosine_kernel(a: EmbeddingMatrix, b: EmbeddingMatrix | None = None) -> Simil
 
     Raw cosines in [-1, 1] map to (1 + s) / 2 in [0, 1].  The kernel is
     marked symmetric iff ``b`` is the same matrix as ``a`` (or omitted),
-    in which case the diagonal is pinned to exactly 1 before any later
-    regularization.
+    in which case the diagonal is pinned to exactly 1.
     """
     same = b is None or b is a
     bm = a if same else b
@@ -144,7 +138,6 @@ def cosine_kernel(a: EmbeddingMatrix, b: EmbeddingMatrix | None = None) -> Simil
         symmetric=same,
         row_ids=a.ids,
         col_ids=bm.ids,
-        regularization=0.0,
     )
 
 
@@ -217,40 +210,3 @@ class FactoredKernel:
         elif self.symmetric:
             out[rows[:, None] == cols[None, :]] = 1.0
         return out
-
-
-def regularize(k: SimilarityKernel, eps: float) -> SimilarityKernel:
-    """Add eps to the diagonal of a symmetric kernel."""
-    if not k.symmetric:
-        raise ValueError("regularization requires a symmetric kernel")
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    if eps == 0.0:
-        return k
-    data = k.data.copy()
-    data[np.diag_indices_from(data)] += eps
-    return SimilarityKernel(
-        data=data,
-        symmetric=True,
-        row_ids=k.row_ids,
-        col_ids=k.col_ids,
-        regularization=k.regularization + eps,
-    )
-
-
-def submatrix(k: SimilarityKernel, rows: Sequence[int], cols: Sequence[int]) -> SimilarityKernel:
-    """Extract a block; ids are inherited from the selected rows/cols."""
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    n_rows, n_cols = k.shape
-    for idx, bound, what in ((rows, n_rows, "row"), (cols, n_cols, "col")):
-        if idx.size and (idx.min() < 0 or idx.max() >= bound):
-            raise IndexError(f"{what} index out of range for kernel of shape {k.shape}")
-    sym = k.symmetric and rows.shape == cols.shape and bool(np.all(rows == cols))
-    return SimilarityKernel(
-        data=k.data[np.ix_(rows, cols)],
-        symmetric=sym,
-        row_ids=k.row_ids[rows],
-        col_ids=k.col_ids[cols],
-        regularization=k.regularization if sym else 0.0,
-    )

@@ -16,7 +16,6 @@ from submodal.functions import (
     evaluate,
     from_joint,
     new_state,
-    reduce_scmi,
 )
 from submodal.greedy import GreedyConfig, greedy_select
 from submodal.similarity import FactoredKernel, cosine_block, cosine_factors
@@ -276,19 +275,6 @@ class TestShapeProperties:
 
 
 class TestReductions:
-    def test_reduce_returns_specialized_kinds(self, rng):
-        joint = rescaled_cosine(rng, 6)
-        assert reduce_scmi("flcmi", joint, "ground", None).kind == "fl"
-        assert reduce_scmi("flcmi", joint, [4, 5], None).kind == "flvmi"
-        assert reduce_scmi("flcmi", joint, "ground", [4]).kind == "flcg"
-        assert reduce_scmi("flcmi", joint, [5], [4]).kind == "flcmi"
-        assert reduce_scmi("logdetcmi", joint, list(range(6)), None).kind == "logdet"
-        assert reduce_scmi("logdetcmi", joint, [4], [5]).kind == "logdetcmi"
-
-    def test_reduce_rejects_non_cmi_kind(self, rng):
-        with pytest.raises(ValueError, match="conditional-MI"):
-            reduce_scmi("flvmi", rescaled_cosine(rng, 4), [1], None)
-
     def test_flcmi_with_empty_conditioning_equals_flvmi(self, rng):
         joint = rescaled_cosine(rng, 8)
         q = [6, 7]
@@ -334,6 +320,41 @@ class TestValidation:
         joint = rescaled_cosine(rng, 5)
         with pytest.raises(ValueError):
             InfoFunction(kind="logdetmi", uu=joint, uq=joint[:, [4]], qq=None)
+
+    @staticmethod
+    def cmi_blocks(joint, q, p):
+        return dict(
+            uu=joint, uq=joint[:, q], up=joint[:, p],
+            qq=joint[np.ix_(q, q)], pp=joint[np.ix_(p, p)], qp=joint[np.ix_(q, p)],
+        )
+
+    def test_logdetcmi_requires_a_nonempty_qp(self, rng):
+        joint = rescaled_cosine(rng, 10)
+        blocks = self.cmi_blocks(joint, [8], [9])
+        f = InfoFunction("logdetcmi", **blocks)
+        ref = from_joint("logdetcmi", joint, query=[8], conditioning=[9])
+        assert evaluate(f, [0, 1, 2]) == evaluate(ref, [0, 1, 2])
+        del blocks["qp"]
+        with pytest.raises(ValueError, match=r"qp block of shape \(1, 1\) is required"):
+            InfoFunction("logdetcmi", **blocks)
+
+    def test_absent_block_accepted_when_empty(self, rng):
+        joint = rescaled_cosine(rng, 10)
+        f = InfoFunction("logdetcmi", uu=joint, uq=joint[:, [8]], qq=joint[np.ix_([8], [8])])
+        assert f.up.shape == (10, 0) and f.pp.shape == (0, 0) and f.qp.shape == (1, 0)
+        ref = from_joint("logdetcmi", joint, query=[8], conditioning=[])
+        assert evaluate(f, [0, 1, 2]) == evaluate(ref, [0, 1, 2])
+
+    @pytest.mark.parametrize(
+        "name,bad,expected",
+        [("qq", np.eye(3), (2, 2)), ("pp", np.eye(2), (1, 1)), ("qp", np.ones((2, 5)), (2, 1))],
+    )
+    def test_query_and_conditioning_blocks_must_match_their_sets(self, name, bad, expected, rng):
+        blocks = self.cmi_blocks(rescaled_cosine(rng, 10), [7, 8], [9])
+        blocks[name] = bad
+        with pytest.raises(ValueError) as err:
+            InfoFunction("logdetcmi", **blocks)
+        assert str(err.value) == f"{name} block must have shape {expected}, got {bad.shape}"
 
     def test_singular_query_block_rejected_with_condition_report(self):
         emb = np.array([[1.0, 0.0], [1.0, 0.0]])

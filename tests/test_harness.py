@@ -264,6 +264,13 @@ class TestFactoredKernels:
         assert (meta["kind"], meta["eps"], meta["gc_lambda"]) == ("flqmi", 0.0, 1.0)
         assert run_al(tiny_config(method="random")).summary.get("function_metadata") is None
 
+    def test_partitioned_summary_reports_the_pool_size(self):
+        cfg = tiny_config(method="flvmi", optimizer={"partitions": 5})
+        split, _, _ = build_scenario(cfg)
+        last_pool = len(split.unlabeled) - cfg.budget * (cfg.rounds - 1)
+        meta = run_al(cfg).summary["function_metadata"]
+        assert (meta["kind"], meta["ground_size"]) == ("flvmi", last_pool)
+
 
 class TestPenaltyMatrix:
     def test_hand_computed_fixture(self):

@@ -11,12 +11,8 @@ from submodal.scenarios import (
     build_rare_split,
     build_redundant_split,
     build_standard_split,
-    load_dataset_csv,
-    load_roles_csv,
     make_blobs,
     update_ood_sets,
-    write_dataset_csv,
-    write_roles_csv,
 )
 from submodal.surrogate import SurrogateModel, TrainConfig, hypothesized_labels, train
 
@@ -248,28 +244,3 @@ class TestBaselineSelect:
     def test_unknown_method_rejected(self, split):
         with pytest.raises(ValueError, match="baseline"):
             baseline_select("badge", None, split, 3)
-
-
-class TestCsvInterfaces:
-    def test_dataset_roundtrip(self, tmp_path):
-        split = build_standard_split(
-            StandardSplitConfig(num_classes=2, dim=3, labeled_per_class=2, unlabeled_per_class=3, valid_per_class=1, seed=0)
-        )
-        path = tmp_path / "data.csv"
-        write_dataset_csv(split, path)
-        ids, labels, feats = load_dataset_csv(path)
-        assert np.array_equal(ids, np.arange(len(split.labels)))
-        assert np.array_equal(labels, split.labels)
-        assert np.array_equal(feats, split.features)
-        header = path.read_text().splitlines()[0]
-        assert header == "id,label,f0,f1,f2"
-
-    def test_roles_roundtrip(self, tmp_path):
-        split = build_rare_split(RareSplitConfig(rho=2.0, unlabeled_common=10, seed=0))
-        path = tmp_path / "roles.csv"
-        write_roles_csv(split, path)
-        roles = load_roles_csv(path)
-        assert np.array_equal(roles["labeled"], np.sort(split.labeled))
-        assert np.array_equal(roles["unlabeled"], np.sort(split.unlabeled))
-        assert np.array_equal(roles["rare_query"], np.sort(split.rare_query))
-        assert np.array_equal(roles["validation"], np.sort(split.validation))

@@ -10,8 +10,6 @@ from submodal.similarity import (
     cosine_block,
     cosine_factors,
     cosine_kernel,
-    regularize,
-    submatrix,
 )
 
 
@@ -122,73 +120,3 @@ class TestCosineFactors:
         assert np.array_equal(cosine_block(a), cosine_kernel(emb(a)).data)
         assert np.array_equal(cosine_block(a, b), cosine_kernel(emb(a), emb(b)).data)
         assert cosine_block(a, np.zeros((0, 3))).shape == (7, 0)
-
-
-class TestRegularize:
-    def test_adds_eps_to_diagonal(self):
-        k = cosine_kernel(emb([[1.0, 0.0], [0.0, 1.0]]))
-        r = regularize(k, 0.05)
-        assert np.allclose(np.diag(r.data), 1.05)
-        assert r.regularization == 0.05
-        assert np.all(r.data[0, 1] == k.data[0, 1])
-
-    def test_zero_eps_is_identity(self, rng):
-        k = cosine_kernel(emb(rng.standard_normal((4, 3))))
-        assert regularize(k, 0.0) is k
-
-    def test_lifts_smallest_eigenvalue(self, rng):
-        k = cosine_kernel(emb(rng.standard_normal((8, 3))))
-        r = regularize(k, 1e-3)
-        assert np.linalg.eigvalsh(r.data).min() >= 1e-3 - 1e-9
-
-    def test_rejects_rectangular(self, rng):
-        a = emb(rng.standard_normal((3, 4)))
-        b = emb(rng.standard_normal((2, 4)))
-        with pytest.raises(ValueError, match="symmetric"):
-            regularize(cosine_kernel(a, b), 0.1)
-
-    def test_rejects_negative_eps(self, rng):
-        k = cosine_kernel(emb(rng.standard_normal((3, 3))))
-        with pytest.raises(ValueError, match="nonnegative"):
-            regularize(k, -0.1)
-
-
-class TestSubmatrix:
-    def test_full_extraction_is_identity(self, rng):
-        k = cosine_kernel(emb(rng.standard_normal((5, 3))))
-        s = submatrix(k, range(5), range(5))
-        assert np.array_equal(s.data, k.data)
-        assert s.symmetric
-
-    def test_single_cell(self, rng):
-        k = cosine_kernel(emb(rng.standard_normal((3, 3))))
-        s = submatrix(k, [0], [2])
-        assert s.shape == (1, 1)
-        assert s.data[0, 0] == k.data[0, 2]
-        assert not s.symmetric
-
-    def test_matching_rows_cols_stay_symmetric(self, rng):
-        k = cosine_kernel(emb(rng.standard_normal((4, 3))))
-        s = submatrix(k, [1, 2], [1, 2])
-        assert s.symmetric
-        assert np.array_equal(s.data, s.data.T)
-
-    def test_out_of_range_rejected(self, rng):
-        k = cosine_kernel(emb(rng.standard_normal((3, 3))))
-        with pytest.raises(IndexError):
-            submatrix(k, [0, 3], [0])
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_composition(self, seed):
-        g = np.random.default_rng(seed)
-        k = cosine_kernel(emb(g.standard_normal((8, 3)) + 1e-3))
-        r1 = g.choice(8, size=5, replace=False)
-        c1 = g.choice(8, size=6, replace=False)
-        r2 = g.choice(5, size=3, replace=False)
-        c2 = g.choice(6, size=2, replace=False)
-        nested = submatrix(submatrix(k, r1, c1), r2, c2)
-        direct = submatrix(k, r1[r2], c1[c2])
-        assert np.array_equal(nested.data, direct.data)
-        assert np.array_equal(nested.row_ids, direct.row_ids)
-
