@@ -27,10 +27,18 @@ empty Q sends every mutual-information kind to 0, an empty P reduces
 each conditional kind to its unconditional counterpart, and evaluating
 the empty selection yields 0 for every kind.
 
-A ``SelectionState`` memoizes whatever its kind needs (running maxima
-for the facility-location family, incremental Cholesky factors for the
-log-determinant family, running cross sums for graph cut) so that
-marginal gains are cheap and a commit sequence reproduces the
+The facility-location kinds (fl, flvmi, flcg, flcmi and the fl term of
+div_gcmi) share one form: sum_i c_i(max_{j in A} S_ij) with the per-point
+coverage c_i(s) = max(min(s, q_i) - p_i, 0), q_i = max_Q S_i (no min
+without Q) and p_i = max_P S_i (no shift without P).  ``InfoFunction``
+builds the coverage block cov[x, i] = c_i(S_xi) once, keeping only the
+columns with q_i > p_i (c_i is identically 0 on the others); gains,
+commits and ``evaluate`` read nothing else.
+
+A ``SelectionState`` memoizes whatever its kind needs (running coverage
+maxima for the facility-location family, incremental Cholesky factors
+for the log-determinant family, running cross sums for graph cut) so
+that marginal gains are cheap and a commit sequence reproduces the
 from-scratch value within 1e-8 absolute (1e-6 relative for log-det).
 """
 
@@ -53,6 +61,10 @@ HEURISTIC_KINDS = ("div_gcmi",)
 ALL_KINDS = SF_KINDS + SMI_KINDS + SCG_KINDS + SCMI_KINDS + HEURISTIC_KINDS
 
 LOGDET_FAMILY = frozenset({"logdet", "logdetmi", "logdetcg", "logdetcmi"})
+# Kinds with a facility-location term, evaluated on the coverage block.
+FL_FAMILY = frozenset({"fl", "flvmi", "flcg", "flcmi", "div_gcmi"})
+# Kinds that accept ``FactoredKernel`` blocks for uu, uq and up.
+FACTORED_KINDS = LOGDET_FAMILY | FL_FAMILY
 
 # Kinds whose selection objective only ever needs the rectangular U x Q block.
 RECTANGULAR_ONLY = frozenset({"flqmi", "gcmi"})
@@ -64,6 +76,11 @@ _NEEDS_PP = frozenset({"logdetcg", "logdetcmi"})
 _NEEDS_QP = frozenset({"logdetcmi"})
 
 _PIVOT_FLOOR = 1e-12
+
+# Rows per block when a factored block is multiplied out: each block of the
+# coverage matrix (rows x kept columns) is transformed right after its GEMM,
+# while still in cache.  Smaller blocks measured slower, larger no faster.
+_BLOCK_ROWS = 256
 
 
 class NumericalError(RuntimeError):
@@ -110,10 +127,11 @@ class InfoFunction:
     Kernel blocks are the raw rescaled similarities; the log-determinant
     regularization ``eps`` is applied internally to the diagonals of the
     square blocks, so callers never pre-regularize.  For the log-det
-    family ``uu``, ``uq`` and ``up`` may instead be ``FactoredKernel``s
-    sharing the U factor (``uu = FactoredKernel(F_U)``, ``uq =
-    FactoredKernel(F_U, F_Q)``, ...); no n x n block is then ever formed.
-    ``qq``, ``pp`` and ``qp`` are always dense.
+    and facility-location kinds ``uu``, ``uq`` and ``up`` may instead be
+    ``FactoredKernel``s sharing the U factor (``uu = FactoredKernel(F_U)``,
+    ``uq = FactoredKernel(F_U, F_Q)``, ...); the log-det kinds then never
+    form an n x n block, and the facility-location kinds form only their
+    pruned coverage block.  ``qq``, ``pp`` and ``qp`` are always dense.
     """
 
     kind: str
@@ -128,6 +146,8 @@ class InfoFunction:
     eps: float | None = None
     # Lower Cholesky factors of qq + eps I and pp + eps I (log-det family).
     _chol: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # Coverage block of the facility-location family (see the module docs).
+    _cov: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         kind = canonical_kind(self.kind)
@@ -135,8 +155,10 @@ class InfoFunction:
         if self.eps is None:
             object.__setattr__(self, "eps", DEFAULT_LOGDET_EPS if kind in LOGDET_FAMILY else 0.0)
         factored = isinstance(self.uu, FactoredKernel)
-        if factored and kind not in LOGDET_FAMILY:
-            raise ValueError(f"factored kernels are accepted only by the log-det family, not {kind}")
+        if factored and kind not in FACTORED_KINDS:
+            raise ValueError(
+                f"factored kernels are accepted only by the log-det and facility-location kinds, not {kind}"
+            )
         for name in ("qq", "pp", "qp") + (() if factored else ("uq", "up")):
             if isinstance(getattr(self, name), FactoredKernel):
                 raise ValueError(
@@ -194,6 +216,8 @@ class InfoFunction:
                 blk = getattr(self, name)
                 if blk is not None and blk.shape[0] > 0:
                     self._chol[name] = _chol_or_raise(_reg(blk, self.eps), name)
+        if kind in FL_FAMILY:
+            object.__setattr__(self, "_cov", _coverage_block(self))
 
     @property
     def n(self) -> int:
@@ -223,6 +247,56 @@ def _as_factored_cross(val, uu: FactoredKernel, name: str) -> FactoredKernel:
     if val.left is not uu.left and not np.array_equal(val.left, uu.left):
         raise ValueError(f"factored {name} must share the U factor of uu")
     return val
+
+
+def _coverage_block(f: InfoFunction) -> np.ndarray:
+    """cov[x, k] = c_i(S_xi) for the kept columns i = keep[k] (q_i > p_i).
+
+    Filled in row blocks: one GEMM from the factors (or a cut of the dense
+    block) into the output rows, then the transform in place.  The pinned
+    unit diagonal of a factored uu is set by index.  The clamp at 0 matches
+    the state's zero-initialized maxima.
+    """
+    n = f.n
+    q = _row_max(f.uq) if f.kind in ("flvmi", "flcmi") else None
+    p = _row_max(f.up) if f.kind in ("flcg", "flcmi") else None
+    top = np.full(n, np.inf) if q is None else q
+    keep = np.flatnonzero(top > (0.0 if p is None else p))
+    q = None if q is None else q[keep]
+    p = None if p is None else p[keep]
+    factored = isinstance(f.uu, FactoredKernel)
+    cols = f.uu.left[keep].T if factored else None
+    cov = np.empty((n, keep.size))
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(n, lo + _BLOCK_ROWS)
+        blk = cov[lo:hi]
+        if factored:
+            np.matmul(f.uu.left[lo:hi], cols, out=blk)
+            a, b = np.searchsorted(keep, (lo, hi))
+            blk[keep[a:b] - lo, np.arange(a, b)] = 1.0
+        else:
+            np.take(f.uu[lo:hi], keep, axis=1, out=blk)
+        if q is not None:
+            np.minimum(blk, q, out=blk)
+        if p is not None:
+            np.subtract(blk, p, out=blk)
+        np.maximum(blk, 0.0, out=blk)
+    return cov
+
+
+def _row_max(block) -> np.ndarray:
+    """Row maxima of a U x X block (0 where X is empty); a factored block
+    is multiplied out one row block at a time."""
+    n, m = block.shape
+    if m == 0:
+        return np.zeros(n)
+    if not isinstance(block, FactoredKernel):
+        return block.max(axis=1)
+    out = np.empty(n)
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = np.arange(lo, min(n, lo + _BLOCK_ROWS))
+        out[rows] = block.take(rows).max(axis=1)
+    return out
 
 
 def _check_symmetric(uu: np.ndarray, tol: float = 1e-10) -> None:
@@ -287,15 +361,11 @@ def evaluate(f: InfoFunction, selection: Sequence[int]) -> float:
         return 0.0
     kind = f.kind
 
-    if kind in ("fl", "flvmi", "flcg", "flcmi"):
-        m = f.uu[:, A].max(axis=1)
-        if kind == "fl":
-            return float(m.sum())
-        if kind == "flvmi":
-            return float(np.minimum(m, _col_max(f.uq)).sum())
-        if kind == "flcg":
-            return float(np.maximum(m - _col_max(f.up), 0.0).sum())
-        return float(np.maximum(np.minimum(m, _col_max(f.uq)) - _col_max(f.up), 0.0).sum())
+    if kind in FL_FAMILY:
+        covered = f._cov[A].max(axis=0).sum()
+        if kind == "div_gcmi":
+            return float(2.0 * f.gc_lambda * _cut(f.uq, A).sum() + f.eta * covered)
+        return float(covered)
 
     if kind == "flqmi":
         if f.uq.shape[1] == 0:
@@ -312,10 +382,6 @@ def evaluate(f: InfoFunction, selection: Sequence[int]) -> float:
             val -= float(2.0 * f.gc_lambda * f.up[A, :].sum())
         return val
 
-    if kind == "div_gcmi":
-        gcmi = 2.0 * f.gc_lambda * f.uq[A, :].sum()
-        return float(gcmi + f.eta * f.uu[:, A].max(axis=1).sum())
-
     sa = _reg(_cut(f.uu, A, A), f.eps)
     if kind == "logdet":
         return _slogdet_pd(sa, "selection")
@@ -330,17 +396,13 @@ def evaluate(f: InfoFunction, selection: Sequence[int]) -> float:
     raise AssertionError(f"unhandled kind {kind}")
 
 
-def _cut(block, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-    """Dense rows x cols sub-block (all columns when cols is None)."""
+def _cut(block, rows: np.ndarray | None = None, cols: np.ndarray | None = None) -> np.ndarray:
+    """Dense rows x cols sub-block (all rows / columns where None)."""
     if isinstance(block, FactoredKernel):
         return block.take(rows, cols)
+    if rows is None:
+        return block if cols is None else block[:, cols]
     return block[rows, :] if cols is None else block[np.ix_(rows, cols)]
-
-
-def _col_max(block: np.ndarray) -> np.ndarray:
-    if block.shape[1] == 0:
-        return np.zeros(block.shape[0])
-    return block.max(axis=1)
 
 
 def _conditioned_square(sa, cross, lo) -> np.ndarray:
@@ -529,17 +591,13 @@ class SelectionState:
         n = f.n
         eps = f.eps
 
-        if kind in ("fl", "flvmi", "flcg", "flcmi", "div_gcmi"):
-            self._cur_max = np.zeros(n)
-            self._qmax = _col_max(f.uq) if f.uq is not None else None
-            self._pmax = _col_max(f.up) if f.up is not None else None
-            self._cur_contrib = self._contrib(self._cur_max)
-            self._scratch = np.empty(n)
+        if kind in FL_FAMILY:
+            self._covered = np.zeros(f._cov.shape[1])  # max over A of cov[a]
         if kind == "flqmi":
             self._best_q = np.zeros(f.uq.shape[1])
-            self._qrow = _col_max(f.uq)
+            self._qrow = _row_max(f.uq)
         if kind in ("gcmi", "div_gcmi"):
-            self._w = 2.0 * f.gc_lambda * f.uq.sum(axis=1)
+            self._w = 2.0 * f.gc_lambda * _cut(f.uq).sum(axis=1)
         if kind in ("gc", "gccg"):
             self._colsum = f.uu.sum(axis=0)
             self._cross = np.zeros(n)
@@ -563,19 +621,6 @@ class SelectionState:
                     lqp = _chol_or_raise(_reg(joint, eps), "query+conditioning")
                 self._terms = [(1.0, term(f.up, lp)), (-1.0, term(_hstack_cross(f.uq, f.up), lqp))]
 
-    # -- facility-location helpers -------------------------------------
-
-    def _contrib(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # One ufunc sequence for the running and the candidate maxima; with
-        # ``out`` it runs in that buffer, so both produce identical floats.
-        kind = self.f.kind
-        if kind in ("flvmi", "flcmi"):
-            m = np.minimum(m, self._qmax, out=out)
-        if kind in ("flcg", "flcmi"):
-            m = np.subtract(m, self._pmax, out=out)
-            m = np.maximum(m, 0.0, out=out)
-        return m  # fl, div_gcmi: the maxima themselves
-
     # -- public API -----------------------------------------------------
 
     @property
@@ -587,19 +632,20 @@ class SelectionState:
     def gain(self, x: int) -> float:
         """Marginal gain of adding x to the current selection.
 
-        Facility-location gains are pointwise differences summed, which
-        keeps them a pure function of the running maxima and numerically
-        nonincreasing as the selection grows (both needed for the lazy
-        and naive variants to agree bit for bit).
+        Facility-location gains are pointwise rises of the coverage maxima
+        summed, which keeps them a pure function of those maxima and
+        numerically nonincreasing as the selection grows (both needed for
+        the lazy and naive variants to agree bit for bit).
         """
         if self._mask[x]:
             raise ValueError(f"index {x} already selected")
         kind = self.f.kind
-        if kind in ("fl", "flvmi", "flcg", "flcmi"):
-            buf = np.maximum(self._cur_max, self.f.uu[x], out=self._scratch)
-            buf = self._contrib(buf, out=buf)
-            np.subtract(buf, self._cur_contrib, out=buf)
-            return float(buf.sum())
+        if kind in FL_FAMILY:
+            rise = self.f._cov[x] - self._covered
+            covered = np.maximum(rise, 0.0, out=rise).sum()
+            if kind == "div_gcmi":
+                return float(self._w[x] + self.f.eta * covered)
+            return float(covered)
         if kind == "flqmi":
             rise = np.maximum(self._best_q, self.f.uq[x, :]) - self._best_q
             return float(rise.sum() + self._qrow[x])
@@ -608,10 +654,6 @@ class SelectionState:
         if kind in ("gc", "gccg"):
             lam = self.f.gc_lambda
             return float(self._colsum[x] - lam * (self.f.uu[x, x] + 2.0 * self._cross[x]))
-        if kind == "div_gcmi":
-            buf = np.maximum(self._cur_max, self.f.uu[x], out=self._scratch)
-            np.subtract(buf, self._cur_max, out=buf)
-            return float(self._w[x] + self.f.eta * buf.sum())
         return float(sum(sign * term.gain(x) for sign, term in self._terms))
 
     def gains(self, candidates: np.ndarray) -> np.ndarray:
@@ -627,9 +669,8 @@ class SelectionState:
         """Add x to the selection; returns the realized gain."""
         g = self.gain(x)
         kind = self.f.kind
-        if kind in ("fl", "flvmi", "flcg", "flcmi", "div_gcmi"):
-            np.maximum(self._cur_max, self.f.uu[x], out=self._cur_max)
-            self._cur_contrib = self._contrib(self._cur_max)
+        if kind in FL_FAMILY:
+            np.maximum(self._covered, self.f._cov[x], out=self._covered)
         if kind == "flqmi":
             np.maximum(self._best_q, self.f.uq[x, :], out=self._best_q)
         if kind in ("gc", "gccg"):

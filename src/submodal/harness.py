@@ -23,6 +23,7 @@ from scipy import stats
 from . import scenarios as sc
 from . import similarity as sim
 from .functions import (
+    FACTORED_KINDS,
     LOGDET_FAMILY,
     InfoFunction,
     NumericalError,
@@ -193,6 +194,8 @@ class RoundRecord:
     selected: tuple[int, ...]
     objective: float | None
     elapsed: float
+    evaluations: int | None  # marginal-gain evaluations; None for baselines
+    variant: str | None  # greedy variant that ran; None for baselines
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -385,12 +388,12 @@ def _submodular_select(
     # Chunks differ only in their ground set; the summary reports the pool.
     metadata = {}
 
-    def make_function(local_ids: np.ndarray) -> InfoFunction:
-        # Log-det kinds hold rank-(D+1) factors of the pool kernel, never an
-        # n x n block.
-        chunk = emb_u[local_ids]
+    def make_function(local_ids: np.ndarray | None) -> InfoFunction:
+        # Log-det and facility-location kinds get rank-(D+1) factors of the
+        # pool kernel, never a dense n x n block; None is the whole pool.
+        chunk = emb_u if local_ids is None else emb_u[local_ids]
         blocks = dict(shared)
-        if kind in LOGDET_FAMILY:
+        if kind in FACTORED_KINDS:
             fu = sim.cosine_factors(chunk)
             blocks["uu"] = sim.FactoredKernel(fu)
             for name, emb in (("uq", emb_q), ("up", emb_p)):
@@ -417,13 +420,13 @@ def _submodular_select(
     )
     try:
         if p == 1:
-            res = greedy_select(make_function(np.arange(len(pool))), gcfg)
+            res = greedy_select(make_function(None), gcfg)
         else:
             res = partitioned_select(make_function, len(pool), gcfg)
     except NumericalError as exc:
         raise NumericalError(f"round {rnd}: {exc}") from exc
     selected = np.sort(pool[np.asarray(res.chosen, dtype=np.intp)])
-    return selected, float(res.value), metadata
+    return selected, float(res.value), res.evaluations, gcfg.variant, metadata
 
 
 def run_al(
@@ -466,9 +469,9 @@ def run_al(
                 config.method, model, split, min(config.budget, len(split.unlabeled)),
                 seed=_derive(config.seed, 3, rnd),
             )
-            objective = None
+            objective = evaluations = variant = None
         else:
-            selected, objective, function_metadata = _submodular_select(
+            selected, objective, evaluations, variant, function_metadata = _submodular_select(
                 config, split, model, guard, rnd
             )
         guard.permit(selected)  # labels revealed for the batch
@@ -483,6 +486,8 @@ def run_al(
             selected=tuple(int(i) for i in selected),
             objective=objective,
             elapsed=time.perf_counter() - t0,
+            evaluations=evaluations,
+            variant=variant,
             **metrics,
         )
         records.append(record)
@@ -495,6 +500,7 @@ def run_al(
         "final_accuracy": records[-1].accuracy,
         "final_rare_accuracy": records[-1].rare_accuracy,
         "guard_violations": guard.violations,
+        "evaluations": sum(r.evaluations or 0 for r in records),
         "total_elapsed": time.perf_counter() - start,
     }
     if function_metadata is not None:

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live;
 the directional criteria (5-7) replay the three scenario experiments at
-their full-published layouts and take several minutes each.
+their full-published layouts and take several minutes each; they carry
+the ``slow`` marker, so ``pytest -m "not slow"`` leaves them out.
 """
 
 import math
@@ -173,6 +174,7 @@ def test_criterion_4_stochastic_greedy_quality_speed():
             f"evaluations (need >= 5x), {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_rare_class_direction():
     start = time.perf_counter()
     seeds = range(5)
@@ -200,6 +202,7 @@ def test_criterion_5_rare_class_direction():
             f"{ {k: round(v, 4) for k, v in final_rare_acc.items()} }, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_redundancy_direction():
     start = time.perf_counter()
     seeds = range(5)
@@ -224,6 +227,7 @@ def test_criterion_6_redundancy_direction():
             f"{ {k: np.round(v, 1).tolist() for k, v in curves.items()} }, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_ood_direction():
     start = time.perf_counter()
     seeds = range(5)

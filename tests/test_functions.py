@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from submodal.functions import (
     ALL_KINDS,
+    FL_FAMILY,
     LOGDET_FAMILY,
     GroundTruthOracle,
     InfoFunction,
@@ -385,10 +386,10 @@ class TestValidation:
         with pytest.raises(IndexError):
             evaluate(f, [3])
 
-    def test_factored_blocks_only_for_the_logdet_family(self, rng):
+    def test_factored_blocks_only_for_the_logdet_and_fl_kinds(self, rng):
         fu = cosine_factors(rng.standard_normal((5, 3)))
-        with pytest.raises(ValueError, match="log-det family"):
-            InfoFunction(kind="fl", uu=FactoredKernel(fu))
+        with pytest.raises(ValueError, match="log-det and facility-location kinds"):
+            InfoFunction(kind="gc", uu=FactoredKernel(fu))
         with pytest.raises(ValueError, match="factored qq"):
             InfoFunction(
                 kind="logdetmi", uu=FactoredKernel(fu), uq=FactoredKernel(fu, fu[:1]),
@@ -445,8 +446,23 @@ def test_commit_sum_matches_evaluate_property(seed, kind, size):
     assert abs(state.value - ref) <= tol_for(kind, ref)
 
 
+def random_sets(g, n, d, n_q, n_p, dups):
+    """Embeddings of U, Q and P with ``dups`` rounds of duplicated rows
+    within U and between U and Q/P."""
+    u = g.standard_normal((n, d))
+    q = g.standard_normal((n_q, d))
+    p = g.standard_normal((n_p, d))
+    for _ in range(dups):
+        u[g.integers(n)] = u[g.integers(n)]
+        if n_q:
+            q[g.integers(n_q)] = u[g.integers(n)]
+        if n_p:
+            p[g.integers(n_p)] = u[g.integers(n)]
+    return u, q, p
+
+
 def dense_and_factored(kind, u, q, p):
-    """One log-det function twice: on dense cosine blocks and on factors."""
+    """One function twice: on dense cosine blocks and on factors."""
     fu = cosine_factors(u)
     dense = {"uu": cosine_block(u)}
     factored = {"uu": FactoredKernel(fu)}
@@ -472,16 +488,7 @@ def dense_and_factored(kind, u, q, p):
 )
 def test_factored_logdet_matches_dense_property(seed, kind, n, d, n_q, n_p, dups):
     g = np.random.default_rng(seed)
-    u = g.standard_normal((n, d))
-    q = g.standard_normal((n_q, d))
-    p = g.standard_normal((n_p, d))
-    for _ in range(dups):  # duplicated rows within U and between U and Q/P
-        u[g.integers(n)] = u[g.integers(n)]
-        if n_q:
-            q[g.integers(n_q)] = u[g.integers(n)]
-        if n_p:
-            p[g.integers(n_p)] = u[g.integers(n)]
-    f_dense, f_fact = dense_and_factored(kind, u, q, p)
+    f_dense, f_fact = dense_and_factored(kind, *random_sets(g, n, d, n_q, n_p, dups))
 
     s_dense, s_fact = new_state(f_dense), new_state(f_fact)
     for x in g.permutation(n):
@@ -501,3 +508,56 @@ def test_factored_logdet_matches_dense_property(seed, kind, n, d, n_q, n_p, dups
     assert np.abs(np.subtract(lazy_fact.gains, lazy_dense.gains)).max() <= 1e-12
     if dups == 0:
         assert lazy_fact.chosen == lazy_dense.chosen
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(FL_FAMILY)),
+    n=st.integers(2, 24),
+    d=st.integers(2, 8),
+    n_q=st.integers(0, 4),
+    n_p=st.integers(0, 4),
+    dups=st.integers(0, 3),
+)
+def test_factored_fl_matches_dense_property(seed, kind, n, d, n_q, n_p, dups):
+    g = np.random.default_rng(seed)
+    f_dense, f_fact = dense_and_factored(kind, *random_sets(g, n, d, n_q, n_p, dups))
+
+    s_dense, s_fact = new_state(f_dense), new_state(f_fact)
+    for x in g.permutation(n):
+        rest = np.flatnonzero(~s_dense._mask)
+        want = s_dense.gains(rest)
+        assert np.all(np.abs(s_fact.gains(rest) - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        s_dense.commit(int(x))
+        s_fact.commit(int(x))
+    for size in (1, n // 2, n):
+        A = s_dense.chosen[:size]
+        assert abs(evaluate(f_fact, A) - evaluate(f_dense, A)) <= 1e-8
+
+    cfg = GreedyConfig(budget=max(1, n // 2), variant="lazy")
+    for f in (f_dense, f_fact):
+        lazy = greedy_select(f, cfg)
+        naive = greedy_select(f, GreedyConfig(budget=cfg.budget, variant="naive"))
+        assert (lazy.chosen, lazy.gains) == (naive.chosen, naive.gains)
+
+
+def test_coverage_drops_points_their_conditioning_covers(rng):
+    # P duplicates pool points, so q_i <= p_i there and those columns are
+    # dropped; gains and values still equal the closed form over all points.
+    u = rng.standard_normal((30, 5))
+    q = rng.standard_normal((3, 5))
+    p = u[:8].copy()
+    s, qmax, pmax = cosine_block(u), cosine_block(u, q).max(axis=1), cosine_block(u, p).max(axis=1)
+    assert (qmax <= pmax).sum() >= 8
+
+    def closed(A):
+        return np.maximum(np.minimum(s[:, A].max(axis=1), qmax) - pmax, 0.0).sum() if A else 0.0
+
+    for f in dense_and_factored("flcmi", u, q, p):
+        assert f._cov.shape == (30, int((qmax > pmax).sum()))
+        state = new_state(f)
+        for x in rng.permutation(30)[:12].tolist():
+            assert state.gain(x) == pytest.approx(closed(state.chosen + [x]) - closed(state.chosen), abs=1e-12)
+            state.commit(x)
+            assert evaluate(f, state.chosen) == pytest.approx(closed(state.chosen), abs=1e-12)

@@ -162,6 +162,20 @@ class TestRunAl:
         with pytest.raises(ValueError, match="rare query"):
             run_al(cfg)
 
+    def test_records_count_gain_evaluations_and_variant(self):
+        cfg = tiny_config(method="flvmi", optimizer={"variant": "naive"})
+        split, _, _ = build_scenario(cfg)
+        b = cfg.budget
+        # naive greedy scans every unchosen point at each of its b steps
+        pools = [len(split.unlabeled) - b * r for r in range(cfg.rounds)]
+        want = [b * n - b * (b - 1) // 2 for n in pools]
+        res = run_al(cfg)
+        assert [(r.evaluations, r.variant) for r in res.records] == [(w, "naive") for w in want]
+        assert res.summary["evaluations"] == sum(want)
+        base = run_al(tiny_config(method="random"))
+        assert {(r.evaluations, r.variant) for r in base.records} == {(None, None)}
+        assert base.summary["evaluations"] == 0
+
     def test_reproducible_records_modulo_timing(self):
         cfg = tiny_config(method="logdetmi", seed=31)
         strip = lambda recs: [
@@ -240,9 +254,9 @@ class TestFactoredKernels:
         assert _resolve_partitions(cfg, "logdetmi", 50000) == 1
         assert _resolve_partitions(cfg, "fl", 50000) == 3
 
-    @pytest.mark.parametrize("method", ["logdet", "logdetmi", "logdetcg", "logdetcmi"])
-    def test_logdet_kinds_build_no_pool_by_pool_kernel(self, method, monkeypatch):
-        cfg = tiny_config(method=method)
+    @staticmethod
+    def run_without_pool_kernel(cfg, monkeypatch):
+        """run_al with similarity.cosine_kernel raising on any pool x pool request."""
         split, _, _ = build_scenario(cfg)
         smallest_pool = len(split.unlabeled) - cfg.budget * (cfg.rounds - 1)
         dense = similarity.cosine_kernel
@@ -256,7 +270,17 @@ class TestFactoredKernels:
         monkeypatch.setattr(similarity, "cosine_kernel", guarded)
         res = run_al(cfg)
         assert [len(r.selected) for r in res.records] == [cfg.budget] * cfg.rounds
+        return res
+
+    @pytest.mark.parametrize("method", ["logdet", "logdetmi", "logdetcg", "logdetcmi"])
+    def test_logdet_kinds_build_no_pool_by_pool_kernel(self, method, monkeypatch):
+        res = self.run_without_pool_kernel(tiny_config(method=method), monkeypatch)
         assert res.summary["function_metadata"]["eps"] == similarity.DEFAULT_LOGDET_EPS
+
+    @pytest.mark.parametrize("method", ["fl", "flvmi", "flcg", "flcmi", "div_gcmi"])
+    def test_fl_kinds_build_no_pool_by_pool_kernel(self, method, monkeypatch):
+        res = self.run_without_pool_kernel(tiny_config(method=method), monkeypatch)
+        assert res.summary["function_metadata"]["kind"] == method
 
     def test_summary_reports_the_functions_metadata(self):
         res = run_al(tiny_config(method="flqmi"))
