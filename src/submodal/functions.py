@@ -35,6 +35,13 @@ builds the coverage block cov[x, i] = c_i(S_xi) once, keeping only the
 columns with q_i > p_i (c_i is identically 0 on the others); gains,
 commits and ``evaluate`` read nothing else.
 
+Every kind also runs on rank-(D+1) factors (``FactoredKernel`` uu, uq
+and up), as the harness builds them, and never forms an n x n block:
+the log-det kinds read kernel columns on demand, the graph-cut kinds read
+row sums F (F_X^T 1) and one kernel row per commit, and flqmi/gcmi cut
+their small dense n x |Q| block from the factors.  Dense blocks remain
+the reference input of ``from_joint``.
+
 A ``SelectionState`` memoizes whatever its kind needs (running coverage
 maxima for the facility-location family, incremental Cholesky factors
 for the log-determinant family, running cross sums for graph cut) so
@@ -63,8 +70,6 @@ ALL_KINDS = SF_KINDS + SMI_KINDS + SCG_KINDS + SCMI_KINDS + HEURISTIC_KINDS
 LOGDET_FAMILY = frozenset({"logdet", "logdetmi", "logdetcg", "logdetcmi"})
 # Kinds with a facility-location term, evaluated on the coverage block.
 FL_FAMILY = frozenset({"fl", "flvmi", "flcg", "flcmi", "div_gcmi"})
-# Kinds that accept ``FactoredKernel`` blocks for uu, uq and up.
-FACTORED_KINDS = LOGDET_FAMILY | FL_FAMILY
 
 # Kinds whose selection objective only ever needs the rectangular U x Q block.
 RECTANGULAR_ONLY = frozenset({"flqmi", "gcmi"})
@@ -126,12 +131,12 @@ class InfoFunction:
 
     Kernel blocks are the raw rescaled similarities; the log-determinant
     regularization ``eps`` is applied internally to the diagonals of the
-    square blocks, so callers never pre-regularize.  For the log-det
-    and facility-location kinds ``uu``, ``uq`` and ``up`` may instead be
-    ``FactoredKernel``s sharing the U factor (``uu = FactoredKernel(F_U)``,
-    ``uq = FactoredKernel(F_U, F_Q)``, ...); the log-det kinds then never
-    form an n x n block, and the facility-location kinds form only their
-    pruned coverage block.  ``qq``, ``pp`` and ``qp`` are always dense.
+    square blocks, so callers never pre-regularize.  For every kind
+    ``uu``, ``uq`` and ``up`` may instead be ``FactoredKernel``s sharing
+    the U factor (``uu = FactoredKernel(F_U)``, ``uq = FactoredKernel(F_U,
+    F_Q)``, ...); no kind then forms an n x n block, the facility-location
+    kinds form only their pruned coverage block, and flqmi/gcmi keep a
+    dense cut of ``uq``.  ``qq``, ``pp`` and ``qp`` are always dense.
     """
 
     kind: str
@@ -155,10 +160,6 @@ class InfoFunction:
         if self.eps is None:
             object.__setattr__(self, "eps", DEFAULT_LOGDET_EPS if kind in LOGDET_FAMILY else 0.0)
         factored = isinstance(self.uu, FactoredKernel)
-        if factored and kind not in FACTORED_KINDS:
-            raise ValueError(
-                f"factored kernels are accepted only by the log-det and facility-location kinds, not {kind}"
-            )
         for name in ("qq", "pp", "qp") + (() if factored else ("uq", "up")):
             if isinstance(getattr(self, name), FactoredKernel):
                 raise ValueError(
@@ -169,7 +170,7 @@ class InfoFunction:
         if kind in RECTANGULAR_ONLY:
             if self.uq is None:
                 raise ValueError(f"{kind} requires the U x Q block")
-            uq = _as_block(self.uq)
+            uq = _as_block(_cut(_as_factored_cross(self.uq, self.uu, "uq")) if factored else self.uq)
             n = uq.shape[0]
             object.__setattr__(self, "uq", uq)
             object.__setattr__(self, "uu", None)
@@ -299,6 +300,17 @@ def _row_max(block) -> np.ndarray:
     return out
 
 
+def _row_sums(block) -> np.ndarray:
+    """Row sums of a U x X block; a factored block gives F (F_X^T 1), and
+    a symmetric one has its pinned unit diagonal corrected by 1 - |F_i|^2."""
+    if not isinstance(block, FactoredKernel):
+        return block.sum(axis=1)
+    out = block.left @ block.cols.sum(axis=0)
+    if block.symmetric:
+        out += 1.0 - np.einsum("ij,ij->i", block.left, block.left)
+    return out
+
+
 def _check_symmetric(uu: np.ndarray, tol: float = 1e-10) -> None:
     """Selection states read rows of the ground kernel where the formulas
     say columns, which requires symmetry.  Full check up to n=2048, a
@@ -377,9 +389,9 @@ def evaluate(f: InfoFunction, selection: Sequence[int]) -> float:
         return float(2.0 * f.gc_lambda * f.uq[A, :].sum())
 
     if kind in ("gc", "gccg"):
-        val = float(f.uu[:, A].sum() - f.gc_lambda * f.uu[np.ix_(A, A)].sum())
+        val = float(_cut(f.uu, None, A).sum() - f.gc_lambda * _cut(f.uu, A, A).sum())
         if kind == "gccg":
-            val -= float(2.0 * f.gc_lambda * f.up[A, :].sum())
+            val -= float(2.0 * f.gc_lambda * _cut(f.up, A).sum())
         return val
 
     sa = _reg(_cut(f.uu, A, A), f.eps)
@@ -597,12 +609,13 @@ class SelectionState:
             self._best_q = np.zeros(f.uq.shape[1])
             self._qrow = _row_max(f.uq)
         if kind in ("gcmi", "div_gcmi"):
-            self._w = 2.0 * f.gc_lambda * _cut(f.uq).sum(axis=1)
+            self._w = 2.0 * f.gc_lambda * _row_sums(f.uq)
         if kind in ("gc", "gccg"):
-            self._colsum = f.uu.sum(axis=0)
+            self._colsum = _row_sums(f.uu)  # = column sums: uu is symmetric
+            self._diag = np.ones(n) if isinstance(f.uu, FactoredKernel) else f.uu.diagonal()
             self._cross = np.zeros(n)
             if kind == "gccg":
-                self._colsum = self._colsum - 2.0 * f.gc_lambda * f.up.sum(axis=1)
+                self._colsum = self._colsum - 2.0 * f.gc_lambda * _row_sums(f.up)
         if kind in LOGDET_FAMILY:
             def term(cross=None, lo=None):
                 return _LogDetTerm(_shifted_kernel(f, cross, lo))
@@ -653,7 +666,7 @@ class SelectionState:
             return float(self._w[x])
         if kind in ("gc", "gccg"):
             lam = self.f.gc_lambda
-            return float(self._colsum[x] - lam * (self.f.uu[x, x] + 2.0 * self._cross[x]))
+            return float(self._colsum[x] - lam * (self._diag[x] + 2.0 * self._cross[x]))
         return float(sum(sign * term.gain(x) for sign, term in self._terms))
 
     def gains(self, candidates: np.ndarray) -> np.ndarray:
@@ -674,7 +687,7 @@ class SelectionState:
         if kind == "flqmi":
             np.maximum(self._best_q, self.f.uq[x, :], out=self._best_q)
         if kind in ("gc", "gccg"):
-            self._cross += self.f.uu[x]
+            self._cross += _cut(self.f.uu, [x])[0]
         if kind in LOGDET_FAMILY:
             for _, term in self._terms:
                 term.commit(x)

@@ -3,7 +3,9 @@
 Three variants share one gain path (the scalar SelectionState.gain),
 which makes naive and lazy greedy bit-identical on monotone submodular
 instances under the lowest-index tie-break.  The random-partition
-strategy trades approximation for a 1/p cut in quadratic kernel cost.
+strategy trades approximation for a 1/p cut in quadratic kernel cost;
+its chunks run one after another, so one chunk's blocks are alive at a
+time.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import heapq
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -151,16 +152,14 @@ def partitioned_select(
     function per chunk via ``make_function(chunk_indices)``, optimize each
     under its quota, and merge by chunk index.
 
-    Chunk runs share nothing mutable and may execute concurrently.
+    Chunks run one after another, each function released before the next
+    is built.
     """
     p = cfg.partitions
     budget = _effective_budget(n, cfg.budget)
     start = time.perf_counter()
 
-    if p == 1:
-        order = np.arange(n)
-    else:
-        order = np.random.default_rng(cfg.seed).permutation(n)
+    order = np.random.default_rng(cfg.seed).permutation(n)
     sizes = partition_sizes(n, p)
     quotas = partition_quotas(budget, p)
 
@@ -184,11 +183,7 @@ def partitioned_select(
             return SelectionResult((), (), 0.0, 0, 0.0)
         return greedy_select(make_function(ids), chunk_cfg)
 
-    if p == 1:
-        results = [run_chunk(0)]
-    else:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(run_chunk, range(p)))
+    results = [run_chunk(i) for i in range(p)]
 
     chosen: list[int] = []
     gains: list[float] = []

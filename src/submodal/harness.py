@@ -23,11 +23,9 @@ from scipy import stats
 from . import scenarios as sc
 from . import similarity as sim
 from .functions import (
-    FACTORED_KINDS,
-    LOGDET_FAMILY,
+    FL_FAMILY,
     InfoFunction,
     NumericalError,
-    RECTANGULAR_ONLY,
     SCG_KINDS,
     SCMI_KINDS,
     SF_KINDS,
@@ -64,7 +62,7 @@ _SCENARIO_BUILDERS = {
 class OptimizerConfig:
     variant: str = "auto"  # auto | naive | lazy | stochastic
     sg_epsilon: float = 0.01
-    partitions: int = 0  # 0 = auto: partition square-kernel kinds above chunk_target
+    partitions: int = 0  # 0 = auto: partition the FL kinds' coverage block above chunk_target
     stop_on_negative: bool = False
     chunk_target: int = 20000
 
@@ -313,11 +311,8 @@ def compute_metrics(
 
 def _resolve_partitions(config: RunConfig, kind: str, n_unlabeled: int) -> int:
     p = config.optimizer.partitions
-    if p <= 0:
-        if kind in RECTANGULAR_ONLY or kind in LOGDET_FAMILY:
-            p = 1  # no n x n block to split
-        else:
-            p = max(1, math.ceil(n_unlabeled / config.optimizer.chunk_target))
+    if p <= 0:  # only the FL coverage block grows with n^2
+        p = math.ceil(n_unlabeled / config.optimizer.chunk_target) if kind in FL_FAMILY else 1
     return max(1, min(p, config.budget, n_unlabeled))
 
 
@@ -389,22 +384,13 @@ def _submodular_select(
     metadata = {}
 
     def make_function(local_ids: np.ndarray | None) -> InfoFunction:
-        # Log-det and facility-location kinds get rank-(D+1) factors of the
-        # pool kernel, never a dense n x n block; None is the whole pool.
-        chunk = emb_u if local_ids is None else emb_u[local_ids]
-        blocks = dict(shared)
-        if kind in FACTORED_KINDS:
-            fu = sim.cosine_factors(chunk)
-            blocks["uu"] = sim.FactoredKernel(fu)
-            for name, emb in (("uq", emb_q), ("up", emb_p)):
-                if emb is not None:
-                    blocks[name] = sim.FactoredKernel(fu, sim.cosine_factors(emb))
-        else:
-            if kind not in RECTANGULAR_ONLY:
-                blocks["uu"] = kernel(chunk)
-            for name, emb in (("uq", emb_q), ("up", emb_p)):
-                if emb is not None:
-                    blocks[name] = kernel(chunk, emb)
+        # Every kind gets rank-(D+1) factors of the pool kernel, never a
+        # dense n x n block; None is the whole pool.
+        fu = sim.cosine_factors(emb_u if local_ids is None else emb_u[local_ids])
+        blocks = dict(shared, uu=sim.FactoredKernel(fu))
+        for name, emb in (("uq", emb_q), ("up", emb_p)):
+            if emb is not None:
+                blocks[name] = sim.FactoredKernel(fu, sim.cosine_factors(emb))
         f = InfoFunction(kind=kind, **blocks, **fn_kwargs)
         metadata.update(f.metadata, ground_size=len(pool))
         return f

@@ -202,11 +202,13 @@ class FactoredKernel:
     def take(self, rows=None, cols=None) -> np.ndarray:
         """Dense sub-block at index arrays ``rows`` x ``cols`` (None = all)."""
         whole = rows is None and cols is None
-        rows = np.arange(self.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
-        cols = np.arange(self.shape[1]) if cols is None else np.asarray(cols, dtype=np.intp)
+        # A full slice reads a factor in place; an index array would copy it.
+        rows = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
+        cols = slice(None) if cols is None else np.asarray(cols, dtype=np.intp)
         out = _big_matmul(self.left[rows], self.cols[cols])
         if self.symmetric and whole:
             np.fill_diagonal(out, 1.0)  # no n x n index mask
         elif self.symmetric:
-            out[rows[:, None] == cols[None, :]] = 1.0
+            ids = np.arange(self.shape[0])
+            out[ids[rows][:, None] == ids[cols][None, :]] = 1.0
         return out

@@ -386,10 +386,8 @@ class TestValidation:
         with pytest.raises(IndexError):
             evaluate(f, [3])
 
-    def test_factored_blocks_only_for_the_logdet_and_fl_kinds(self, rng):
+    def test_only_pool_blocks_may_be_factored(self, rng):
         fu = cosine_factors(rng.standard_normal((5, 3)))
-        with pytest.raises(ValueError, match="log-det and facility-location kinds"):
-            InfoFunction(kind="gc", uu=FactoredKernel(fu))
         with pytest.raises(ValueError, match="factored qq"):
             InfoFunction(
                 kind="logdetmi", uu=FactoredKernel(fu), uq=FactoredKernel(fu, fu[:1]),
@@ -513,14 +511,14 @@ def test_factored_logdet_matches_dense_property(seed, kind, n, d, n_q, n_p, dups
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(sorted(FL_FAMILY)),
+    kind=st.sampled_from(sorted(FL_FAMILY | {"gc", "gccg", "gcmi", "flqmi"})),
     n=st.integers(2, 24),
     d=st.integers(2, 8),
     n_q=st.integers(0, 4),
     n_p=st.integers(0, 4),
     dups=st.integers(0, 3),
 )
-def test_factored_fl_matches_dense_property(seed, kind, n, d, n_q, n_p, dups):
+def test_factored_submodular_kinds_match_dense_property(seed, kind, n, d, n_q, n_p, dups):
     g = np.random.default_rng(seed)
     f_dense, f_fact = dense_and_factored(kind, *random_sets(g, n, d, n_q, n_p, dups))
 

@@ -251,7 +251,8 @@ class TestRunAl:
 class TestFactoredKernels:
     def test_logdet_kinds_never_partition(self):
         cfg = RunConfig(budget=500)
-        assert _resolve_partitions(cfg, "logdetmi", 50000) == 1
+        for kind in ("logdetmi", "gc", "gccg", "flqmi"):
+            assert _resolve_partitions(cfg, kind, 50000) == 1
         assert _resolve_partitions(cfg, "fl", 50000) == 3
 
     @staticmethod
@@ -279,6 +280,11 @@ class TestFactoredKernels:
 
     @pytest.mark.parametrize("method", ["fl", "flvmi", "flcg", "flcmi", "div_gcmi"])
     def test_fl_kinds_build_no_pool_by_pool_kernel(self, method, monkeypatch):
+        res = self.run_without_pool_kernel(tiny_config(method=method), monkeypatch)
+        assert res.summary["function_metadata"]["kind"] == method
+
+    @pytest.mark.parametrize("method", ["gc", "gccg", "flqmi", "gcmi"])
+    def test_gc_and_rectangular_kinds_build_no_pool_by_pool_kernel(self, method, monkeypatch):
         res = self.run_without_pool_kernel(tiny_config(method=method), monkeypatch)
         assert res.summary["function_metadata"]["kind"] == method
 
