@@ -68,6 +68,10 @@ HEURISTIC_KINDS = ("div_gcmi",)
 ALL_KINDS = SF_KINDS + SMI_KINDS + SCG_KINDS + SCMI_KINDS + HEURISTIC_KINDS
 
 LOGDET_FAMILY = frozenset({"logdet", "logdetmi", "logdetcg", "logdetcmi"})
+# Kinds that are submodular in A, so their gains never rise as A grows and
+# lazy greedy is exact on them.  LogDetMI and LogDetCMI are differences of
+# log-dets and are not submodular in general (Iyer et al., arXiv 2006.15412).
+SUBMODULAR = frozenset(ALL_KINDS) - {"logdetmi", "logdetcmi"}
 # Kinds with a facility-location term, evaluated on the coverage block.
 FL_FAMILY = frozenset({"fl", "flvmi", "flcg", "flcmi", "div_gcmi"})
 
@@ -670,13 +674,25 @@ class SelectionState:
         return float(sum(sign * term.gain(x) for sign, term in self._terms))
 
     def gains(self, candidates: np.ndarray) -> np.ndarray:
-        """Marginal gains for a batch of unchosen candidates.
+        """Marginal gains for a batch of unchosen candidates, each the
+        float ``gain`` returns, so every greedy variant sees exactly the
+        same float for the same (selection, x).
 
-        Deliberately a loop over the scalar path: every greedy variant
-        then sees exactly the same float for the same (selection, x).
+        The log-det family reads its pivot arrays once for the whole batch.
+        That is bit-identical to the scalar path: it applies the same
+        elementwise ufuncs in the same order (maximum with the floor, log,
+        the sign product, then the terms summed left to right from 0) to
+        the same pivots, and an elementwise ufunc computes each element as
+        it computes a lone scalar.  The other kinds loop over the scalar
+        path.
         """
         candidates = np.asarray(candidates, dtype=np.intp)
-        return np.array([self.gain(int(x)) for x in candidates])
+        if self.f.kind not in LOGDET_FAMILY:
+            return np.array([self.gain(int(x)) for x in candidates])
+        chosen = candidates[self._mask[candidates]]
+        if chosen.size:
+            raise ValueError(f"index {chosen[0]} already selected")
+        return sum(sign * term.gain(candidates) for sign, term in self._terms)
 
     def commit(self, x: int) -> float:
         """Add x to the selection; returns the realized gain."""

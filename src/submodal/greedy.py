@@ -1,8 +1,13 @@
 """Cardinality-constrained greedy maximizers for InfoFunction objectives.
 
-Three variants share one gain path (the scalar SelectionState.gain),
-which makes naive and lazy greedy bit-identical on monotone submodular
-instances under the lowest-index tie-break.  The random-partition
+Three variants share one gain definition (SelectionState.gain; its batch
+form ``gains`` returns the same floats).  Naive greedy scans every
+unchosen point per pick and is exact on any objective.  Lazy greedy
+(Minoux 1978) re-evaluates only the top of a heap of stale gains, which
+is exact only when gains never rise: on the kinds in
+``functions.SUBMODULAR`` it is bit-identical to naive under the
+lowest-index tie-break.  ``greedy_select`` runs whichever variant it is
+given; the harness rejects lazy on the other kinds.  The random-partition
 strategy trades approximation for a 1/p cut in quadratic kernel cost;
 its chunks run one after another, so one chunk's blocks are alive at a
 time.
@@ -23,8 +28,10 @@ from .functions import InfoFunction, SelectionState, evaluate, new_state
 
 VARIANTS = ("naive", "lazy", "stochastic")
 
-# Above this ground size the stochastic variant is the sensible default;
-# below it lazy greedy wins on exactness at little cost.
+# Above this ground size the stochastic variant is the default for the
+# submodular kinds; below it lazy greedy wins on exactness at little cost.
+# The harness runs the log-det kinds naive at every size instead: their
+# batch gains are one array op, cheaper than the heap and always exact.
 STOCHASTIC_THRESHOLD = 20000
 
 
@@ -60,6 +67,7 @@ class SelectionResult:
     value: float
     evaluations: int
     elapsed: float
+    pivot_floor_hits: int = 0  # log-det commits whose pivot hit the floor
 
 
 def default_variant(ground_size: int) -> str:
@@ -129,6 +137,7 @@ def greedy_select(f: InfoFunction, cfg: GreedyConfig) -> SelectionResult:
         value=state.value,
         evaluations=evals,
         elapsed=time.perf_counter() - start,
+        pivot_floor_hits=state.numerical_warnings,
     )
 
 
@@ -200,6 +209,7 @@ def partitioned_select(
         value=value,
         evaluations=evals,
         elapsed=time.perf_counter() - start,
+        pivot_floor_hits=sum(res.pivot_floor_hits for res in results),
     )
 
 

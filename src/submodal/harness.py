@@ -24,6 +24,8 @@ from . import scenarios as sc
 from . import similarity as sim
 from .functions import (
     FL_FAMILY,
+    LOGDET_FAMILY,
+    SUBMODULAR,
     InfoFunction,
     NumericalError,
     SCG_KINDS,
@@ -60,7 +62,7 @@ _SCENARIO_BUILDERS = {
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    variant: str = "auto"  # auto | naive | lazy | stochastic
+    variant: str = "auto"  # auto | naive | lazy (submodular kinds only) | stochastic
     sg_epsilon: float = 0.01
     partitions: int = 0  # 0 = auto: partition the FL kinds' coverage block above chunk_target
     stop_on_negative: bool = False
@@ -158,6 +160,11 @@ class RunConfig:
         method = self.method.strip().lower().replace("-", "_")
         if method not in sc.BASELINES:
             method = canonical_kind(method)
+            if self.optimizer.variant == "lazy" and method not in SUBMODULAR:
+                raise ValueError(
+                    f"lazy greedy is exact only on submodular kinds and {method} is "
+                    "not submodular; use the naive or auto optimizer"
+                )
         object.__setattr__(self, "method", method)
 
     @classmethod
@@ -194,6 +201,7 @@ class RoundRecord:
     elapsed: float
     evaluations: int | None  # marginal-gain evaluations; None for baselines
     variant: str | None  # greedy variant that ran; None for baselines
+    pivot_floor_hits: int | None  # log-det pivots clamped to the floor; None for baselines
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -316,9 +324,14 @@ def _resolve_partitions(config: RunConfig, kind: str, n_unlabeled: int) -> int:
     return max(1, min(p, config.budget, n_unlabeled))
 
 
-def _resolve_variant(config: RunConfig, chunk_size: int) -> str:
+def _resolve_variant(config: RunConfig, kind: str, chunk_size: int) -> str:
+    """``auto`` runs the log-det kinds naive at every size: exact, and their
+    batch gains cost one array op per pick.  Other kinds get lazy greedy,
+    or stochastic above ``STOCHASTIC_THRESHOLD``."""
     v = config.optimizer.variant
-    return default_variant(chunk_size) if v == "auto" else v
+    if v != "auto":
+        return v
+    return "naive" if kind in LOGDET_FAMILY else default_variant(chunk_size)
 
 
 def _embed(model, split, guard, indices) -> np.ndarray:
@@ -398,7 +411,7 @@ def _submodular_select(
     p = _resolve_partitions(config, kind, len(pool))
     gcfg = GreedyConfig(
         budget=min(config.budget, len(pool)),
-        variant=_resolve_variant(config, math.ceil(len(pool) / p)),
+        variant=_resolve_variant(config, kind, math.ceil(len(pool) / p)),
         epsilon=config.optimizer.sg_epsilon,
         seed=_derive(config.seed, 2, rnd),
         partitions=p,
@@ -412,7 +425,7 @@ def _submodular_select(
     except NumericalError as exc:
         raise NumericalError(f"round {rnd}: {exc}") from exc
     selected = np.sort(pool[np.asarray(res.chosen, dtype=np.intp)])
-    return selected, float(res.value), res.evaluations, gcfg.variant, metadata
+    return selected, res, gcfg.variant, metadata
 
 
 def run_al(
@@ -455,9 +468,9 @@ def run_al(
                 config.method, model, split, min(config.budget, len(split.unlabeled)),
                 seed=_derive(config.seed, 3, rnd),
             )
-            objective = evaluations = variant = None
+            res = variant = None
         else:
-            selected, objective, evaluations, variant, function_metadata = _submodular_select(
+            selected, res, variant, function_metadata = _submodular_select(
                 config, split, model, guard, rnd
             )
         guard.permit(selected)  # labels revealed for the batch
@@ -470,10 +483,11 @@ def run_al(
             round=rnd,
             labeled_size=int(len(split.labeled)),
             selected=tuple(int(i) for i in selected),
-            objective=objective,
+            objective=None if res is None else float(res.value),
             elapsed=time.perf_counter() - t0,
-            evaluations=evaluations,
+            evaluations=None if res is None else res.evaluations,
             variant=variant,
+            pivot_floor_hits=None if res is None else res.pivot_floor_hits,
             **metrics,
         )
         records.append(record)
@@ -487,6 +501,7 @@ def run_al(
         "final_rare_accuracy": records[-1].rare_accuracy,
         "guard_violations": guard.violations,
         "evaluations": sum(r.evaluations or 0 for r in records),
+        "pivot_floor_hits": sum(r.pivot_floor_hits or 0 for r in records),
         "total_elapsed": time.perf_counter() - start,
     }
     if function_metadata is not None:

@@ -105,13 +105,27 @@ def _big_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normalized_rows(emb: EmbeddingMatrix) -> np.ndarray:
-    norms = np.linalg.norm(emb.data, axis=1)
+# Rows per block of the row-norm pass: its squared temporary stays
+# _NORM_BLOCK_ROWS x D instead of n x D.
+_NORM_BLOCK_ROWS = 1024
+
+
+def _row_norms(emb: EmbeddingMatrix) -> np.ndarray:
+    """Euclidean row norms, computed in row blocks (each row's norm is the
+    same float either way); a zero-norm row is an error."""
+    norms = np.empty(emb.rows)
+    for lo in range(0, emb.rows, _NORM_BLOCK_ROWS):
+        hi = lo + _NORM_BLOCK_ROWS
+        norms[lo:hi] = np.linalg.norm(emb.data[lo:hi], axis=1)
     zero = norms <= 0.0
     if np.any(zero):
         bad = np.where(zero)[0][0]
         raise ValueError(f"zero-norm embedding row id={emb.ids[bad].item()!r}")
-    return emb.data / norms[:, None]
+    return norms
+
+
+def _normalized_rows(emb: EmbeddingMatrix) -> np.ndarray:
+    return emb.data / _row_norms(emb)[:, None]
 
 
 def cosine_kernel(a: EmbeddingMatrix, b: EmbeddingMatrix | None = None) -> SimilarityKernel:
@@ -157,7 +171,8 @@ def cosine_factors(a: np.ndarray) -> np.ndarray:
     emb = EmbeddingMatrix.from_array(a)
     out = np.empty((emb.rows, emb.dim + 1))
     out[:, 0] = 1.0
-    out[:, 1:] = _normalized_rows(emb)
+    # Divided straight into the output: no n x D temporary.
+    np.divide(emb.data, _row_norms(emb)[:, None], out=out[:, 1:])
     out *= np.sqrt(0.5)
     return out
 

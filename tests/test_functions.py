@@ -459,7 +459,7 @@ def random_sets(g, n, d, n_q, n_p, dups):
     return u, q, p
 
 
-def dense_and_factored(kind, u, q, p):
+def dense_and_factored(kind, u, q, p, **kw):
     """One function twice: on dense cosine blocks and on factors."""
     fu = cosine_factors(u)
     dense = {"uu": cosine_block(u)}
@@ -471,7 +471,7 @@ def dense_and_factored(kind, u, q, p):
             dense[square] = factored[square] = cosine_block(x)
     if kind == "logdetcmi":
         dense["qp"] = factored["qp"] = cosine_block(q, p)
-    return InfoFunction(kind=kind, **dense), InfoFunction(kind=kind, **factored)
+    return InfoFunction(kind=kind, **dense, **kw), InfoFunction(kind=kind, **factored, **kw)
 
 
 @settings(max_examples=80, deadline=None)
@@ -506,6 +506,54 @@ def test_factored_logdet_matches_dense_property(seed, kind, n, d, n_q, n_p, dups
     assert np.abs(np.subtract(lazy_fact.gains, lazy_dense.gains)).max() <= 1e-12
     if dups == 0:
         assert lazy_fact.chosen == lazy_dense.chosen
+
+
+def batch_gains_match_scalar_loop(f, order):
+    """Commit ``order``; before each commit the batch gains of every
+    unchosen point must equal the scalar gains bit for bit."""
+    state = new_state(f)
+    for x in order:
+        rest = np.flatnonzero(~state._mask)
+        want = np.array([state.gain(int(c)) for c in rest])
+        assert np.array_equal(state.gains(rest), want)
+        state.commit(int(x))
+    return state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(LOGDET_FAMILY)),
+    n=st.integers(2, 24),
+    d=st.integers(2, 8),
+    n_q=st.integers(0, 4),
+    n_p=st.integers(0, 4),
+    dups=st.integers(0, 3),
+)
+def test_logdet_batch_gains_equal_the_scalar_loop_property(seed, kind, n, d, n_q, n_p, dups):
+    g = np.random.default_rng(seed)
+    for f in dense_and_factored(kind, *random_sets(g, n, d, n_q, n_p, dups)):
+        batch_gains_match_scalar_loop(f, g.permutation(n))
+
+
+@pytest.mark.parametrize("kind", sorted(LOGDET_FAMILY))
+def test_logdet_batch_gains_equal_the_scalar_loop_at_the_pivot_floor(kind, rng):
+    # eps=0 and every row duplicated: a twin's residual pivot falls to ~0
+    # once its original is chosen, so gains and commits hit the floor.
+    u = rng.standard_normal((8, 4))
+    u = np.vstack([u, u])
+    q, p = rng.standard_normal((2, 4)), rng.standard_normal((2, 4))
+    for f in dense_and_factored(kind, u, q, p, eps=0.0):
+        state = batch_gains_match_scalar_loop(f, rng.permutation(16))
+        assert state.numerical_warnings > 0
+
+
+def test_batch_gains_reject_a_chosen_index(rng):
+    f = from_joint("logdet", rescaled_cosine(rng, 5))
+    state = new_state(f)
+    state.commit(2)
+    with pytest.raises(ValueError, match="already selected"):
+        state.gains(np.arange(5))
 
 
 @settings(max_examples=80, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submodal.functions import InfoFunction, evaluate, from_joint
+from submodal.functions import SUBMODULAR, InfoFunction, evaluate, from_joint
 from submodal.greedy import (
     GreedyConfig,
     default_variant,
@@ -16,6 +16,7 @@ from submodal.greedy import (
     partitioned_select,
     stochastic_sample_size,
 )
+from submodal.similarity import cosine_block
 from tests.conftest import rescaled_cosine
 
 
@@ -218,3 +219,24 @@ def test_greedy_selection_size_property(seed, budget):
     res = greedy_select(f, GreedyConfig(budget=budget, variant="lazy"))
     assert len(res.chosen) == min(budget, 9)
     assert len(res.gains) == len(res.chosen)
+
+
+@pytest.mark.parametrize("kind", sorted(SUBMODULAR))
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 14),
+    budget=st.integers(2, 8),
+    dups=st.integers(0, 3),
+)
+def test_lazy_equals_naive_on_every_submodular_kind_property(kind, seed, n, budget, dups):
+    # lazy greedy is exact where gains never rise: same picks, same floats
+    g = np.random.default_rng(seed)
+    x = g.standard_normal((n + 4, 5))
+    for _ in range(dups):
+        x[g.integers(n + 4)] = x[g.integers(n + 4)]
+    f = from_joint(kind, cosine_block(x), query=[n, n + 1], conditioning=[n + 2, n + 3])
+    budget = min(budget, n + 4)
+    lazy = greedy_select(f, GreedyConfig(budget=budget, variant="lazy"))
+    naive = greedy_select(f, GreedyConfig(budget=budget, variant="naive"))
+    assert (lazy.chosen, lazy.gains) == (naive.chosen, naive.gains)

@@ -14,6 +14,7 @@ from submodal.harness import (
     OptimizerConfig,
     RunConfig,
     _resolve_partitions,
+    _resolve_variant,
     build_scenario,
     default_acquisition,
     penalty_matrix,
@@ -61,6 +62,34 @@ class TestRunConfig:
         cfg = tiny_config(method="random", rounds=100, budget=50)
         with pytest.raises(ValueError, match="exceeds the"):
             run_al(cfg)
+
+    @pytest.mark.parametrize("method", ["logdetmi", "logdetcmi"])
+    def test_lazy_rejected_on_non_submodular_kinds(self, method):
+        with pytest.raises(ValueError, match=f"{method} is not submodular"):
+            tiny_config(method=method, optimizer={"variant": "lazy"})
+        for variant in ("auto", "naive", "stochastic"):
+            tiny_config(method=method, optimizer={"variant": variant})
+        tiny_config(method="logdetcg", optimizer={"variant": "lazy"})
+        tiny_config(method="random", optimizer={"variant": "lazy"})
+
+
+class TestResolveVariant:
+    @pytest.mark.parametrize("kind", ["logdet", "logdetmi", "logdetcg", "logdetcmi"])
+    def test_auto_runs_logdet_kinds_naive_at_every_size(self, kind):
+        for n in (1000, 50000):
+            assert _resolve_variant(RunConfig(), kind, n) == "naive"
+
+    def test_auto_runs_other_kinds_lazy_then_stochastic(self):
+        assert _resolve_variant(RunConfig(), "flcmi", 14000) == "lazy"
+        assert _resolve_variant(RunConfig(), "flcmi", 50000) == "stochastic"
+
+    def test_explicit_variant_is_kept(self):
+        cfg = RunConfig(optimizer=OptimizerConfig(variant="stochastic"))
+        assert _resolve_variant(cfg, "logdetmi", 1000) == "stochastic"
+
+    def test_auto_logdetmi_run_records_naive(self):
+        res = run_al(tiny_config(method="logdetmi", rounds=1))
+        assert [r.variant for r in res.records] == ["naive"]
 
 
 class TestAcquisitionSpec:
@@ -175,6 +204,34 @@ class TestRunAl:
         base = run_al(tiny_config(method="random"))
         assert {(r.evaluations, r.variant) for r in base.records} == {(None, None)}
         assert base.summary["evaluations"] == 0
+
+    def test_records_count_pivot_floor_hits(self):
+        # Ten originals, each in the pool four times: with eps=0 the 11th
+        # pick must be a duplicate, whose residual pivot is ~0.
+        cfg = RunConfig.from_dict(
+            {
+                "scenario": "redundancy",
+                "scenario_params": {
+                    "unique_count": 10, "dup_fraction": 1.0, "redundancy_factor": 4,
+                    "labeled_count": 6, "num_classes": 3, "dim": 8,
+                },
+                "method": "logdet",
+                "rounds": 1,
+                "budget": 12,
+                "test_per_class": 10,
+                "model": {"epochs": 30},
+                "function": {"eps": 0.0},
+            }
+        )
+        floored = run_al(cfg)
+        assert floored.records[0].pivot_floor_hits > 0
+        assert floored.summary["pivot_floor_hits"] == floored.records[0].pivot_floor_hits
+        normal = run_al(RunConfig.from_dict({**cfg.to_dict(), "function": {}}))
+        assert normal.records[0].pivot_floor_hits == 0
+        assert normal.summary["pivot_floor_hits"] == 0
+        base = run_al(tiny_config(method="random"))
+        assert {r.pivot_floor_hits for r in base.records} == {None}
+        assert base.summary["pivot_floor_hits"] == 0
 
     def test_reproducible_records_modulo_timing(self):
         cfg = tiny_config(method="logdetmi", seed=31)
@@ -409,6 +466,15 @@ class TestCli:
              "--output-dir", str(tmp_path)]
         )
         assert rc == 3
+
+    def test_lazy_on_a_non_submodular_kind_exits_two(self, tmp_path, capsys):
+        rc = cli_main(
+            ["run", "--scenario", "rare", "--function", "logdetmi", "--optimizer", "lazy",
+             "--output-dir", str(tmp_path)]
+        )
+        assert rc == 2
+        assert "logdetmi is not submodular" in capsys.readouterr().err
+        assert not (tmp_path / "records.jsonl").exists()
 
     def test_verify_passes_on_fresh_checkout(self, capsys):
         assert cli_main(["verify"]) == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,29 @@ class TestCosineFactors:
     def test_zero_norm_row_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):
             cosine_factors(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    def test_zero_norm_row_in_a_later_row_block_rejected_with_id(self):
+        a = np.ones((2500, 3))
+        a[2100] = 0.0
+        with pytest.raises(ValueError, match="id=2100"):
+            cosine_factors(a)
+
+    def test_blocked_factors_equal_the_whole_array_formula(self, rng):
+        a = rng.standard_normal((2500, 9)) * rng.uniform(0.1, 10.0, size=(2500, 1))
+        whole = np.hstack([np.ones((2500, 1)), a / np.linalg.norm(a, axis=1)[:, None]])
+        assert np.array_equal(cosine_factors(a), whole * np.sqrt(0.5))
+
+    def test_factors_allocate_little_beyond_their_output(self, rng):
+        # No n x D temporary: the peak is the output plus a small share of
+        # the input (finiteness mask, norms, one row block of the norm pass).
+        a = rng.standard_normal((20000, 32))
+        tracemalloc.start()
+        try:
+            out = cosine_factors(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + a.nbytes // 4
 
     def test_cosine_block_is_the_kernel_data(self, rng):
         a = rng.standard_normal((7, 3))
