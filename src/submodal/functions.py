@@ -39,8 +39,11 @@ Every kind also runs on rank-(D+1) factors (``FactoredKernel`` uu, uq
 and up), as the harness builds them, and never forms an n x n block:
 the log-det kinds read kernel columns on demand, the graph-cut kinds read
 row sums F (F_X^T 1) and one kernel row per commit, and flqmi/gcmi cut
-their small dense n x |Q| block from the factors.  Dense blocks remain
-the reference input of ``from_joint``.
+their small dense n x |Q| block from the factors.  On factors the log-det
+kinds condition on Q and P from F_Q and F_P alone (qq, pp and qp may be
+omitted): each set becomes a correction W of at most D+1 rows, and no
+|X| x |X| block is formed above that rank.  Dense blocks remain the
+reference input of ``from_joint``.
 
 A ``SelectionState`` memoizes whatever its kind needs (running coverage
 maxima for the facility-location family, incremental Cholesky factors
@@ -83,6 +86,10 @@ _NEEDS_UP = frozenset({"flcg", "gccg", "logdetcg", "flcmi", "logdetcmi"})
 _NEEDS_QQ = frozenset({"logdetmi", "logdetcmi"})
 _NEEDS_PP = frozenset({"logdetcg", "logdetcmi"})
 _NEEDS_QP = frozenset({"logdetcmi"})
+
+# Conditioning sets whose correction each log-det kind's state reads:
+# "q" is Q, "p" is P and "q+p" is their union.
+_CONDITIONING = {"logdetmi": ("q",), "logdetcg": ("p",), "logdetcmi": ("p", "q+p")}
 
 _PIVOT_FLOOR = 1e-12
 
@@ -140,7 +147,11 @@ class InfoFunction:
     the U factor (``uu = FactoredKernel(F_U)``, ``uq = FactoredKernel(F_U,
     F_Q)``, ...); no kind then forms an n x n block, the facility-location
     kinds form only their pruned coverage block, and flqmi/gcmi keep a
-    dense cut of ``uq``.  ``qq``, ``pp`` and ``qp`` are always dense.
+    dense cut of ``uq``.  ``qq``, ``pp`` and ``qp`` are never factored.
+    Alongside a dense ``uu`` each one a kind reads is required (unless
+    its set is empty); alongside a factored ``uu`` each is optional, and
+    an absent one is read from the factors of ``uq``/``up`` (see
+    ``_correction``; ``evaluate`` cuts it densely on first use).
     """
 
     kind: str
@@ -153,7 +164,12 @@ class InfoFunction:
     gc_lambda: float = 1.0
     eta: float = 1.0
     eps: float | None = None
-    # Lower Cholesky factors of qq + eps I and pp + eps I (log-det family).
+    # Conditioning corrections of the log-det family, keyed "q", "p" and
+    # "q+p" (see ``_correction``), built at construction.
+    _w: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # Dense qq/pp/qp blocks cut from the factors and lower Cholesky factors
+    # of qq + eps I and pp + eps I, kept once computed.
+    _cuts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _chol: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # Coverage block of the facility-location family (see the module docs).
     _cov: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
@@ -211,16 +227,16 @@ class InfoFunction:
             ("pp", kind in _NEEDS_PP, (p, p)),
             ("qp", kind in _NEEDS_QP, (q, p)),
         ):
-            val = _sized_block(getattr(self, name), shape, name) if needed else None
+            val = getattr(self, name) if needed else None
+            if needed and not (factored and val is None):
+                val = _sized_block(val, shape, name)
             object.__setattr__(self, name, val)
 
-        # Fail fast on singular query/conditioning blocks; the factors are
-        # kept for the selection state and evaluate.
-        if kind in LOGDET_FAMILY:
-            for name in ("qq", "pp"):
-                blk = getattr(self, name)
-                if blk is not None and blk.shape[0] > 0:
-                    self._chol[name] = _chol_or_raise(_reg(blk, self.eps), name)
+        # Built here, so a singular query/conditioning set fails fast.
+        for key in _CONDITIONING.get(kind, ()):
+            w = _correction(self, key)
+            if w is not None:
+                self._w[key] = w
         if kind in FL_FAMILY:
             object.__setattr__(self, "_cov", _coverage_block(self))
 
@@ -254,6 +270,74 @@ def _as_factored_cross(val, uu: FactoredKernel, name: str) -> FactoredKernel:
     return val
 
 
+def _dense(f: InfoFunction, name: str) -> np.ndarray:
+    """The qq, pp or qp block as given, or cut from the factors of uq/up
+    (pinned unit diagonal on qq/pp) on first use and kept."""
+    val = getattr(f, name)
+    if val is None:
+        if name not in f._cuts:
+            rows = f.uq.cols if name[0] == "q" else f.up.cols
+            cols = f.up.cols if name == "qp" else None
+            f._cuts[name] = FactoredKernel(rows, cols).take()
+        val = f._cuts[name]
+    return val
+
+
+def _chol_of(f: InfoFunction, name: str) -> np.ndarray | None:
+    """Lower Cholesky factor of qq + eps I or pp + eps I, kept once
+    computed (None for an empty set)."""
+    if name not in f._chol:
+        blk = _dense(f, name)
+        f._chol[name] = _chol_or_raise(_reg(blk, f.eps), name) if blk.shape[0] else None
+    return f._chol[name]
+
+
+def _correction(f: InfoFunction, key: str) -> np.ndarray | None:
+    """Whitened cross W of conditioning set X (``key`` as in
+    ``_CONDITIONING``), or None when X is empty.
+
+    The conditioned kernel is (S_UU + eps I) - W^T W.  On a dense uu,
+    W = L^-1 S_XU (|X| x n), with L the lower Cholesky factor of
+    S_XX + eps I.  On factors S_UX = F F_X^T, and W holds the same
+    correction in the basis F: W^T W = F_X^T (S_XX + eps I)^-1 F_X.
+    Given dense X blocks, or |X| <= r = rank F_X, W = L^-1 F_X with S_XX
+    as given or cut from F_X.  Above that rank no |X| x |X| array is
+    formed: by the push-through identity the correction is
+    G (G + eps I)^-1 with G = F_X^T F_X = V diag(lam) V^T, so
+    W = diag(sqrt(lam / (lam + eps))) V^T, r x r.  With eps = 0 such an
+    S_XX is singular (rank <= r < |X|), and the set is rejected.
+    """
+    if key == "q+p":
+        cross, names, label = _hstack_cross(f.uq, f.up), ("qq", "pp", "qp"), "query+conditioning"
+    else:
+        cross, label = (f.uq, "qq") if key == "q" else (f.up, "pp")
+        names = (label,)
+    m = cross.shape[1]
+    if m == 0:
+        return None
+    given = all(getattr(f, name) is not None for name in names)
+    if not isinstance(cross, FactoredKernel):
+        rhs = cross.T
+    else:
+        rhs, r = cross.cols, cross.cols.shape[1]
+        if not given and m > r:
+            if f.eps <= 0.0:
+                raise NumericalError(
+                    f"singular {label} block: {m} points on rank-{r} factors with eps = 0"
+                )
+            lam, vecs = np.linalg.eigh(rhs.T @ rhs)
+            np.maximum(lam, 0.0, out=lam)
+            return np.sqrt(lam / (lam + f.eps))[:, None] * vecs.T
+    if key != "q+p":
+        lo = _chol_of(f, label)
+    else:
+        joint = (
+            np.block([[f.qq, f.qp], [f.qp.T, f.pp]]) if given else FactoredKernel(rhs).take()
+        )
+        lo = _chol_or_raise(_reg(joint, f.eps), label)
+    return solve_triangular(lo, rhs, lower=True)
+
+
 def _coverage_block(f: InfoFunction) -> np.ndarray:
     """cov[x, k] = c_i(S_xi) for the kept columns i = keep[k] (q_i > p_i).
 
@@ -270,7 +354,10 @@ def _coverage_block(f: InfoFunction) -> np.ndarray:
     q = None if q is None else q[keep]
     p = None if p is None else p[keep]
     factored = isinstance(f.uu, FactoredKernel)
-    cols = f.uu.left[keep].T if factored else None
+    cols = None
+    if factored:
+        # All kept: the transposed view has the layout of the gathered copy.
+        cols = f.uu.left.T if keep.size == n else f.uu.left[keep].T
     cov = np.empty((n, keep.size))
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(n, lo + _BLOCK_ROWS)
@@ -402,10 +489,10 @@ def evaluate(f: InfoFunction, selection: Sequence[int]) -> float:
     if kind == "logdet":
         return _slogdet_pd(sa, "selection")
     if kind == "logdetmi":
-        cond = _conditioned_square(sa, _cut(f.uq, A), f._chol.get("qq"))
+        cond = _conditioned_square(sa, _cut(f.uq, A), _chol_of(f, "qq"))
         return _slogdet_pd(sa, "selection") - _slogdet_pd(cond, "conditioned selection")
     if kind == "logdetcg":
-        cond = _conditioned_square(sa, _cut(f.up, A), f._chol.get("pp"))
+        cond = _conditioned_square(sa, _cut(f.up, A), _chol_of(f, "pp"))
         return _slogdet_pd(cond, "conditioned selection")
     if kind == "logdetcmi":
         return _logdetcmi_ratio(f, A, sa)
@@ -441,7 +528,8 @@ def _logdetcmi_ratio(f: InfoFunction, A: np.ndarray, sa: np.ndarray) -> float:
     p = f.up.shape[1]
     if q == 0:
         return 0.0
-    qf = (f._chol["qq"], True)
+    qf = (_chol_of(f, "qq"), True)
+    pp, qp = _dense(f, "pp"), _dense(f, "qp")
     ua_q, ua_p = _cut(f.uq, A), _cut(f.up, A)
 
     def contraction_logdet(square_reg, cross_q):
@@ -453,9 +541,9 @@ def _logdetcmi_ratio(f: InfoFunction, A: np.ndarray, sa: np.ndarray) -> float:
         mf = cho_factor(square_reg, lower=True)
         return _slogdet_pd(np.eye(m) - cho_solve(mf, inner), "contraction")
 
-    num = contraction_logdet(_reg(f.pp, eps), f.qp.T) if p else 0.0
-    ap_square = np.block([[sa, ua_p], [ua_p.T, _reg(f.pp, eps)]]) if p else sa
-    ap_cross = np.vstack([ua_q, f.qp.T]) if p else ua_q
+    num = contraction_logdet(_reg(pp, eps), qp.T) if p else 0.0
+    ap_square = np.block([[sa, ua_p], [ua_p.T, _reg(pp, eps)]]) if p else sa
+    ap_cross = np.vstack([ua_q, qp.T]) if p else ua_q
     den = contraction_logdet(ap_square, ap_cross)
     return num - den
 
@@ -466,19 +554,19 @@ def _logdetcmi_ratio(f: InfoFunction, A: np.ndarray, sa: np.ndarray) -> float:
 
 
 class _ShiftedKernel:
-    """Column provider for M = (S_UU + eps I) - S_UX (S_XX + eps I)^-1 S_XU
-    over a dense S_UU; ``lo`` is the lower Cholesky factor of
-    S_XX + eps I (None: no conditioning), W = lo^-1 S_XU is whitened once.
+    """Column provider for M = (S_UU + eps I) - W^T W over a dense S_UU,
+    with W = ``_correction``'s |X| x n whitened cross (None: no
+    conditioning).
 
     Columns are returned as coordinates that ``at`` (one row) and
     ``expand`` (the n-vector) read back; a dense column is its own
     coordinates.
     """
 
-    def __init__(self, uu: np.ndarray, eps: float, cross=None, lo=None):
+    def __init__(self, uu: np.ndarray, eps: float, w=None):
         self.uu = uu
         self.eps = eps
-        self.w = None if lo is None else solve_triangular(lo, cross.T, lower=True)
+        self.w = w
         self.rank = uu.shape[0]
 
     def diag(self) -> np.ndarray:
@@ -503,34 +591,32 @@ class _ShiftedKernel:
 
 
 class _FactoredShiftedKernel:
-    """The same M over S_UU = F F^T (unit diagonal) and S_UX = F F_X^T.
+    """The same M over S_UU = F F^T (unit diagonal), with W the
+    correction in the basis F (at most rank F rows).
 
-    The conditioning term reduces to the (D+1)^2 core C = G^T G with
-    G = lo^-1 F_X, so column j is F (I - C) F_j + eps e_j and its
-    diagonal entry is 1 + eps - F_j^T C F_j.  Columns are given in the
-    basis F: ``col(j)`` = (I - C) F_j.  That drops eps e_j and the pinned
+    Column j is F (I - W^T W) F_j + eps e_j and its diagonal entry is
+    1 + eps - |W F_j|^2.  Columns are given in the basis F:
+    ``col(j)`` = F_j - W^T (W F_j).  That drops eps e_j and the pinned
     unit diagonal, which touch only row j; diag() carries them, and once
     j is committed its row is never read again.
     """
 
-    def __init__(self, uu: FactoredKernel, eps: float, cross=None, lo=None):
+    def __init__(self, uu: FactoredKernel, eps: float, w=None):
         self.f = uu.left
         self.eps = eps
-        self.core = None
-        if lo is not None:
-            g = solve_triangular(lo, cross.cols, lower=True)
-            self.core = g.T @ g
+        self.w = w
         self.rank = self.f.shape[1]
 
     def diag(self) -> np.ndarray:
         d = np.full(self.f.shape[0], 1.0 + self.eps)
-        if self.core is not None:
-            d -= np.einsum("ij,ij->i", self.f @ self.core, self.f)
+        if self.w is not None:
+            fw = self.f @ self.w.T
+            d -= np.einsum("ij,ij->i", fw, fw)
         return d
 
     def col(self, j: int) -> np.ndarray:
         fj = self.f[j]
-        return fj.copy() if self.core is None else fj - self.core @ fj
+        return fj.copy() if self.w is None else fj - self.w.T @ (self.w @ fj)
 
     def at(self, coords: np.ndarray, j: int) -> np.ndarray:
         return self.f[j] @ coords
@@ -544,13 +630,6 @@ def _hstack_cross(uq, up):
     if isinstance(uq, FactoredKernel):
         return FactoredKernel(uq.left, np.vstack([uq.cols, up.cols]))
     return np.hstack([uq, up])
-
-
-def _shifted_kernel(f: InfoFunction, cross=None, lo=None):
-    """Column provider of the kind's (conditioned) kernel; the type of the
-    U x U block picks the dense or the factored path."""
-    cls = _FactoredShiftedKernel if isinstance(f.uu, FactoredKernel) else _ShiftedKernel
-    return cls(f.uu, f.eps, cross, lo)
 
 
 class _LogDetTerm:
@@ -605,7 +684,6 @@ class SelectionState:
         self._mask = np.zeros(f.n, dtype=bool)
         kind = f.kind
         n = f.n
-        eps = f.eps
 
         if kind in FL_FAMILY:
             self._covered = np.zeros(f._cov.shape[1])  # max over A of cov[a]
@@ -621,22 +699,19 @@ class SelectionState:
             if kind == "gccg":
                 self._colsum = self._colsum - 2.0 * f.gc_lambda * _row_sums(f.up)
         if kind in LOGDET_FAMILY:
-            def term(cross=None, lo=None):
-                return _LogDetTerm(_shifted_kernel(f, cross, lo))
+            cls = _FactoredShiftedKernel if isinstance(f.uu, FactoredKernel) else _ShiftedKernel
 
-            lq, lp = f._chol.get("qq"), f._chol.get("pp")
+            def term(key=None):
+                return _LogDetTerm(cls(f.uu, f.eps, f._w.get(key)))
+
             if kind == "logdet":
                 self._terms = [(1.0, term())]
             elif kind == "logdetmi":
-                self._terms = [(1.0, term()), (-1.0, term(f.uq, lq))]
+                self._terms = [(1.0, term()), (-1.0, term("q"))]
             elif kind == "logdetcg":
-                self._terms = [(1.0, term(f.up, lp))]
+                self._terms = [(1.0, term("p"))]
             else:  # logdetcmi: condition on P, and on Q union P
-                lqp = None
-                if f.qq.shape[0] + f.pp.shape[0]:
-                    joint = np.block([[f.qq, f.qp], [f.qp.T, f.pp]])
-                    lqp = _chol_or_raise(_reg(joint, eps), "query+conditioning")
-                self._terms = [(1.0, term(f.up, lp)), (-1.0, term(_hstack_cross(f.uq, f.up), lqp))]
+                self._terms = [(1.0, term("p")), (-1.0, term("q+p"))]
 
     # -- public API -----------------------------------------------------
 

@@ -385,22 +385,15 @@ def _submodular_select(
     if config.function.eps is not None:
         fn_kwargs["eps"] = config.function.eps
 
-    kernel = sim.cosine_block
-    shared = {}
-    if emb_q is not None and kind in ("logdetmi", "logdetcmi"):
-        shared["qq"] = kernel(emb_q)
-    if emb_p is not None and kind in ("logdetcg", "logdetcmi"):
-        shared["pp"] = kernel(emb_p)
-    if kind == "logdetcmi":
-        shared["qp"] = kernel(emb_q, emb_p)
     # Chunks differ only in their ground set; the summary reports the pool.
     metadata = {}
 
     def make_function(local_ids: np.ndarray | None) -> InfoFunction:
-        # Every kind gets rank-(D+1) factors of the pool kernel, never a
-        # dense n x n block; None is the whole pool.
+        # Every kind gets rank-(D+1) factors of the pool, query and
+        # conditioning kernels, never a dense n x n or |P| x |P| block;
+        # None is the whole pool.
         fu = sim.cosine_factors(emb_u if local_ids is None else emb_u[local_ids])
-        blocks = dict(shared, uu=sim.FactoredKernel(fu))
+        blocks = {"uu": sim.FactoredKernel(fu)}
         for name, emb in (("uq", emb_q), ("up", emb_p)):
             if emb is not None:
                 blocks[name] = sim.FactoredKernel(fu, sim.cosine_factors(emb))

@@ -56,10 +56,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _loss(weights, xb, onehot, l2) -> float:
+def _loss(weights, xb, onehot, l2) -> tuple[float, np.ndarray]:
+    """Regularized cross-entropy and the softmax it was computed from."""
     probs = _softmax(xb @ weights.T)
     ce = -np.mean(np.log(np.maximum((probs * onehot).sum(axis=1), 1e-300)))
-    return float(ce + 0.5 * l2 * np.sum(weights * weights))
+    return float(ce + 0.5 * l2 * np.sum(weights * weights)), probs
 
 
 def train(
@@ -96,16 +97,15 @@ def train(
     weights = 0.01 * rng.standard_normal((c, d1))
     lr = config.learning_rate
     halvings = 0
-    loss = _loss(weights, xb, onehot, config.l2)
+    loss, probs = _loss(weights, xb, onehot, config.l2)
 
     for _ in range(config.epochs):
-        probs = _softmax(xb @ weights.T)
         grad = (probs - onehot).T @ xb / n + config.l2 * weights
         while True:
             candidate = weights - lr * grad
-            new_loss = _loss(candidate, xb, onehot, config.l2)
+            new_loss, new_probs = _loss(candidate, xb, onehot, config.l2)
             if new_loss <= loss:
-                weights, loss = candidate, new_loss
+                weights, loss, probs = candidate, new_loss, new_probs
                 break
             lr *= 0.5
             halvings += 1

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submodal.functions import (
@@ -460,7 +461,8 @@ def random_sets(g, n, d, n_q, n_p, dups):
 
 
 def dense_and_factored(kind, u, q, p, **kw):
-    """One function twice: on dense cosine blocks and on factors."""
+    """One function twice: on dense cosine blocks, and on factors alone
+    (no qq/pp/qp), as the harness builds it."""
     fu = cosine_factors(u)
     dense = {"uu": cosine_block(u)}
     factored = {"uu": FactoredKernel(fu)}
@@ -468,9 +470,9 @@ def dense_and_factored(kind, u, q, p, **kw):
         if kind in needs:
             dense[cross] = cosine_block(u, x)
             factored[cross] = FactoredKernel(fu, cosine_factors(x))
-            dense[square] = factored[square] = cosine_block(x)
+            dense[square] = cosine_block(x)
     if kind == "logdetcmi":
-        dense["qp"] = factored["qp"] = cosine_block(q, p)
+        dense["qp"] = cosine_block(q, p)
     return InfoFunction(kind=kind, **dense, **kw), InfoFunction(kind=kind, **factored, **kw)
 
 
@@ -484,6 +486,9 @@ def dense_and_factored(kind, u, q, p, **kw):
     n_p=st.integers(0, 4),
     dups=st.integers(0, 3),
 )
+# Conditioning sets above the factor rank d + 1 = 3.
+@example(seed=7, kind="logdetcg", n=12, d=2, n_q=0, n_p=4, dups=1)
+@example(seed=8, kind="logdetcmi", n=12, d=2, n_q=3, n_p=4, dups=2)
 def test_factored_logdet_matches_dense_property(seed, kind, n, d, n_q, n_p, dups):
     g = np.random.default_rng(seed)
     f_dense, f_fact = dense_and_factored(kind, *random_sets(g, n, d, n_q, n_p, dups))
@@ -607,3 +612,109 @@ def test_coverage_drops_points_their_conditioning_covers(rng):
             assert state.gain(x) == pytest.approx(closed(state.chosen + [x]) - closed(state.chosen), abs=1e-12)
             state.commit(x)
             assert evaluate(f, state.chosen) == pytest.approx(closed(state.chosen), abs=1e-12)
+
+
+def test_all_kept_coverage_block_equals_the_gathered_form(rng):
+    # fl keeps every column; the block must be the one a gathered copy of
+    # the factor gives, bit for bit, across several row blocks.
+    fu = cosine_factors(rng.standard_normal((600, 5)))
+    f = InfoFunction(kind="fl", uu=FactoredKernel(fu))
+    gathered = fu[np.arange(600)].T
+    want = np.empty((600, 600))
+    for lo in range(0, 600, 256):
+        np.matmul(fu[lo : lo + 256], gathered, out=want[lo : lo + 256])
+    np.fill_diagonal(want, 1.0)
+    np.maximum(want, 0.0, out=want)
+    assert np.array_equal(f._cov, want)
+
+
+class TestFactorSpaceConditioning:
+    """Q and P enter a factored log-det kind only through F_Q and F_P."""
+
+    D = 7  # factor rank r = D + 1 = 8
+    KEYS = {"logdetmi": "q", "logdetcg": "p", "logdetcmi": "q+p"}
+
+    def factored(self, kind, u, q, p, **kw):
+        fu = cosine_factors(u)
+        blocks = {"uu": FactoredKernel(fu)}
+        if kind in NEEDS_Q:
+            blocks["uq"] = FactoredKernel(fu, cosine_factors(q))
+        if kind in NEEDS_P:
+            blocks["up"] = FactoredKernel(fu, cosine_factors(p))
+        return InfoFunction(kind=kind, **blocks, **kw)
+
+    @staticmethod
+    def with_duplicates(g, m, d):
+        x = g.standard_normal((m, d))
+        x[m // 2] = x[0]
+        x[-1] = x[1]
+        return x
+
+    @pytest.mark.parametrize("kind", ["logdetmi", "logdetcg", "logdetcmi"])
+    @pytest.mark.parametrize("m", [4, 8, 24])
+    def test_correction_equals_the_dense_core(self, kind, m, rng):
+        u = rng.standard_normal((10, self.D))
+        x = self.with_duplicates(rng, m, self.D)
+        # logdetcmi conditions on Q union P: split x between them.
+        q, p = {
+            "logdetmi": (x, None), "logdetcg": (None, x), "logdetcmi": (x[: m // 2], x[m // 2 :]),
+        }[kind]
+        f = self.factored(kind, u, q, p)
+        w = f._w[self.KEYS[kind]]
+        r = self.D + 1
+        assert w.shape == (min(m, r), r)
+        fx = cosine_factors(x)
+        s = cosine_block(x) + f.eps * np.eye(m)
+        core = fx.T @ np.linalg.solve(s, fx)
+        assert np.abs(w.T @ w - core).max() <= 1e-13
+
+    def test_without_eps_a_set_above_the_rank_is_rejected(self, rng):
+        u = rng.standard_normal((10, self.D))
+        p = rng.standard_normal((3 * (self.D + 1), self.D))
+        with pytest.raises(NumericalError, match="singular pp block"):
+            self.factored("logdetcg", u, None, p, eps=0.0)
+        with pytest.raises(NumericalError, match="singular query\\+conditioning block"):
+            self.factored("logdetcmi", u, p[:20], p[20:], eps=0.0)
+
+    def test_without_eps_independent_rows_within_the_rank_work(self, rng):
+        u = rng.standard_normal((10, self.D))
+        p = rng.standard_normal((self.D - 3, self.D))
+        f = self.factored("logdetcg", u, None, p, eps=0.0)
+        fx = cosine_factors(p)
+        core = fx.T @ np.linalg.solve(cosine_block(p), fx)
+        assert np.abs(f._w["p"].T @ f._w["p"] - core).max() <= 1e-10
+        ref = dense_and_factored("logdetcg", u, None, p, eps=0.0)[0]
+        A = [0, 3, 5]
+        assert evaluate(f, A) == pytest.approx(evaluate(ref, A), rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["logdetmi", "logdetcg", "logdetcmi"])
+    @pytest.mark.parametrize("m", [3, 20])
+    def test_omitted_blocks_match_given_dense_blocks(self, kind, m, rng):
+        u = rng.standard_normal((40, self.D))
+        q, p = rng.standard_normal((m, self.D)), rng.standard_normal((m, self.D))
+        omitted = self.factored(kind, u, q, p)
+        assert (omitted.qq, omitted.pp, omitted.qp) == (None, None, None)
+        given = InfoFunction(
+            kind=kind, uu=omitted.uu, uq=omitted.uq, up=omitted.up,
+            qq=cosine_block(q), pp=cosine_block(p), qp=cosine_block(q, p),
+        )
+        cfg = GreedyConfig(budget=15, variant="naive")
+        picks = greedy_select(omitted, cfg).chosen
+        assert picks == greedy_select(given, cfg).chosen
+        for size in (1, 8, 15):
+            want = evaluate(given, picks[:size])
+            assert abs(evaluate(omitted, picks[:size]) - want) <= 1e-12 * abs(want)
+
+    def test_a_set_three_times_the_rank_allocates_no_square_block(self, rng):
+        d = 99
+        fu = cosine_factors(rng.standard_normal((50, d)))
+        fp = cosine_factors(rng.standard_normal((3 * (d + 1), d)))
+        square_bytes = fp.shape[0] ** 2 * 8
+        tracemalloc.start()
+        try:
+            f = InfoFunction(kind="logdetcg", uu=FactoredKernel(fu), up=FactoredKernel(fu, fp))
+            greedy_select(f, GreedyConfig(budget=10, variant="naive"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < square_bytes / 2

@@ -335,6 +335,22 @@ class TestFactoredKernels:
         res = self.run_without_pool_kernel(tiny_config(method=method), monkeypatch)
         assert res.summary["function_metadata"]["eps"] == similarity.DEFAULT_LOGDET_EPS
 
+    @pytest.mark.parametrize("method", ["logdetmi", "logdetcg", "logdetcmi"])
+    def test_conditioned_logdet_kinds_build_no_dense_kernel(self, method, monkeypatch):
+        def refuse(a, b=None):
+            cols = a.rows if b is None else b.rows
+            raise AssertionError(f"dense kernel requested: {a.rows} x {cols}")
+
+        monkeypatch.setattr(similarity, "cosine_kernel", refuse)
+        scenario, params = {
+            "logdetmi": ("rare", TINY_RARE["scenario_params"]),
+            "logdetcg": ("redundancy", {}),
+            "logdetcmi": ("ood", {}),
+        }[method]
+        cfg = tiny_config(scenario=scenario, scenario_params=params, method=method)
+        res = run_al(cfg)
+        assert [len(r.selected) for r in res.records] == [cfg.budget] * cfg.rounds
+
     @pytest.mark.parametrize("method", ["fl", "flvmi", "flcg", "flcmi", "div_gcmi"])
     def test_fl_kinds_build_no_pool_by_pool_kernel(self, method, monkeypatch):
         res = self.run_without_pool_kernel(tiny_config(method=method), monkeypatch)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from submodal.scenarios import make_blobs
 from submodal.surrogate import (
     SurrogateModel,
+    _softmax,
     TrainConfig,
     gradient_embeddings,
     hypothesized_labels,
@@ -65,6 +66,53 @@ class TestTrain:
         x, y = make_blobs([20, 20], dim=4, spread=0.5, seed=7)
         model = train(x, y, TrainConfig(learning_rate=50.0, epochs=40, seed=1))
         assert np.all(np.isfinite(model.weights))
+
+
+def reference_train(x, y, config, num_classes):
+    """``train`` as a plain loop that recomputes the softmax of the
+    current weights at the start of every epoch."""
+    xb = np.hstack([x, np.ones((x.shape[0], 1))])
+    n = xb.shape[0]
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), y] = 1.0
+
+    def loss(w):
+        probs = _softmax(xb @ w.T)
+        ce = -np.mean(np.log(np.maximum((probs * onehot).sum(axis=1), 1e-300)))
+        return float(ce + 0.5 * config.l2 * np.sum(w * w))
+
+    weights = 0.01 * np.random.default_rng(config.seed).standard_normal((num_classes, xb.shape[1]))
+    lr, halvings, current, epochs = config.learning_rate, 0, loss(weights), 0
+    for _ in range(config.epochs):
+        grad = (_softmax(xb @ weights.T) - onehot).T @ xb / n + config.l2 * weights
+        while True:
+            candidate = weights - lr * grad
+            new = loss(candidate)
+            if new <= current:
+                weights, current = candidate, new
+                break
+            lr *= 0.5
+            halvings += 1
+            if halvings > config.max_halvings:
+                return weights, halvings, epochs
+        epochs += 1
+    return weights, halvings, epochs
+
+
+class TestTrainMatchesReferenceLoop:
+    @pytest.mark.parametrize(
+        "config,halved,stopped",
+        [
+            (TrainConfig(seed=2, epochs=60), False, False),
+            (TrainConfig(learning_rate=50.0, epochs=40, seed=1), True, False),
+            (TrainConfig(learning_rate=1e4, epochs=40, seed=3, max_halvings=2), True, True),
+        ],
+    )
+    def test_weights_are_bit_equal(self, config, halved, stopped):
+        x, y = make_blobs([20, 25, 15], dim=4, spread=0.8, seed=5)
+        want, halvings, epochs = reference_train(x, y, config, 3)
+        assert (halvings > 0, epochs < config.epochs) == (halved, stopped)
+        assert np.array_equal(train(x, y, config).weights, want)
 
 
 class TestPredict:
