@@ -40,8 +40,8 @@ and up), as the harness builds them, and never forms an n x n block:
 the log-det kinds read kernel columns on demand, the graph-cut kinds read
 row sums F (F_X^T 1) and one kernel row per commit, and flqmi/gcmi cut
 their small dense n x |Q| block from the factors.  On factors the log-det
-kinds condition on Q and P from F_Q and F_P alone (qq, pp and qp may be
-omitted): each set becomes a correction W of at most D+1 rows, and no
+kinds condition on Q and P from F_Q and F_P alone (qq, pp and qp are not
+given): each set becomes a correction W of at most D+1 rows, and no
 |X| x |X| block is formed above that rank.  Dense blocks remain the
 reference input of ``from_joint``.
 
@@ -87,9 +87,15 @@ _NEEDS_QQ = frozenset({"logdetmi", "logdetcmi"})
 _NEEDS_PP = frozenset({"logdetcg", "logdetcmi"})
 _NEEDS_QP = frozenset({"logdetcmi"})
 
-# Conditioning sets whose correction each log-det kind's state reads:
-# "q" is Q, "p" is P and "q+p" is their union.
-_CONDITIONING = {"logdetmi": ("q",), "logdetcg": ("p",), "logdetcmi": ("p", "q+p")}
+# Signed log-det terms of each log-det kind, each over the kernel
+# conditioned on the set its key names (None: unconditioned; "q" is Q,
+# "p" is P and "q+p" is their union).
+_LOGDET_TERMS = {
+    "logdet": ((1.0, None),),
+    "logdetmi": ((1.0, None), (-1.0, "q")),
+    "logdetcg": ((1.0, "p"),),
+    "logdetcmi": ((1.0, "p"), (-1.0, "q+p")),
+}
 
 _PIVOT_FLOOR = 1e-12
 
@@ -149,9 +155,9 @@ class InfoFunction:
     kinds form only their pruned coverage block, and flqmi/gcmi keep a
     dense cut of ``uq``.  ``qq``, ``pp`` and ``qp`` are never factored.
     Alongside a dense ``uu`` each one a kind reads is required (unless
-    its set is empty); alongside a factored ``uu`` each is optional, and
-    an absent one is read from the factors of ``uq``/``up`` (see
-    ``_correction``; ``evaluate`` cuts it densely on first use).
+    its set is empty); alongside a factored ``uu`` none may be given:
+    Q and P are read from the factors of ``uq``/``up`` alone (see
+    ``_correction``; ``evaluate`` cuts the dense blocks it needs).
     """
 
     kind: str
@@ -164,13 +170,13 @@ class InfoFunction:
     gc_lambda: float = 1.0
     eta: float = 1.0
     eps: float | None = None
-    # Conditioning corrections of the log-det family, keyed "q", "p" and
-    # "q+p" (see ``_correction``), built at construction.
+    # Conditioning corrections of the log-det family, keyed as in
+    # ``_LOGDET_TERMS`` (see ``_correction``), built at construction.
     _w: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # Dense qq/pp/qp blocks cut from the factors and lower Cholesky factors
-    # of qq + eps I and pp + eps I, kept once computed.
-    _cuts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # Lower Cholesky factors of qq + eps I and pp + eps I, and logdetcmi's
+    # dense pp/qp blocks, kept once ``evaluate`` has computed them.
     _chol: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _cuts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # Coverage block of the facility-location family (see the module docs).
     _cov: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
@@ -227,14 +233,18 @@ class InfoFunction:
             ("pp", kind in _NEEDS_PP, (p, p)),
             ("qp", kind in _NEEDS_QP, (q, p)),
         ):
-            val = getattr(self, name) if needed else None
-            if needed and not (factored and val is None):
-                val = _sized_block(val, shape, name)
+            val = getattr(self, name)
+            if factored and val is not None:
+                raise ValueError(
+                    f"{name} may not be given when uu is factored: it is read from "
+                    "the factors of uq/up"
+                )
+            val = _sized_block(val, shape, name) if needed and not factored else None
             object.__setattr__(self, name, val)
 
         # Built here, so a singular query/conditioning set fails fast.
-        for key in _CONDITIONING.get(kind, ()):
-            w = _correction(self, key)
+        for _, key in _LOGDET_TERMS.get(kind, ()):
+            w = None if key is None else _correction(self, key)
             if w is not None:
                 self._w[key] = w
         if kind in FL_FAMILY:
@@ -272,14 +282,12 @@ def _as_factored_cross(val, uu: FactoredKernel, name: str) -> FactoredKernel:
 
 def _dense(f: InfoFunction, name: str) -> np.ndarray:
     """The qq, pp or qp block as given, or cut from the factors of uq/up
-    (pinned unit diagonal on qq/pp) on first use and kept."""
+    (pinned unit diagonal on qq/pp)."""
     val = getattr(f, name)
     if val is None:
-        if name not in f._cuts:
-            rows = f.uq.cols if name[0] == "q" else f.up.cols
-            cols = f.up.cols if name == "qp" else None
-            f._cuts[name] = FactoredKernel(rows, cols).take()
-        val = f._cuts[name]
+        rows = f.uq.cols if name[0] == "q" else f.up.cols
+        cols = f.up.cols if name == "qp" else None
+        val = FactoredKernel(rows, cols).take()
     return val
 
 
@@ -294,48 +302,41 @@ def _chol_of(f: InfoFunction, name: str) -> np.ndarray | None:
 
 def _correction(f: InfoFunction, key: str) -> np.ndarray | None:
     """Whitened cross W of conditioning set X (``key`` as in
-    ``_CONDITIONING``), or None when X is empty.
+    ``_LOGDET_TERMS``), or None when X is empty.
 
     The conditioned kernel is (S_UU + eps I) - W^T W.  On a dense uu,
     W = L^-1 S_XU (|X| x n), with L the lower Cholesky factor of
     S_XX + eps I.  On factors S_UX = F F_X^T, and W holds the same
     correction in the basis F: W^T W = F_X^T (S_XX + eps I)^-1 F_X.
-    Given dense X blocks, or |X| <= r = rank F_X, W = L^-1 F_X with S_XX
-    as given or cut from F_X.  Above that rank no |X| x |X| array is
-    formed: by the push-through identity the correction is
-    G (G + eps I)^-1 with G = F_X^T F_X = V diag(lam) V^T, so
-    W = diag(sqrt(lam / (lam + eps))) V^T, r x r.  With eps = 0 such an
-    S_XX is singular (rank <= r < |X|), and the set is rejected.
+    Up to |X| = r = rank F_X, W = L^-1 F_X with S_XX cut from F_X.
+    Above that rank no |X| x |X| array is formed: by the push-through
+    identity the correction is G (G + eps I)^-1 with
+    G = F_X^T F_X = V diag(lam) V^T, so W = diag(sqrt(lam / (lam + eps))) V^T,
+    r x r.  With eps = 0 such an S_XX is singular (rank <= r < |X|), and
+    the set is rejected.
     """
-    if key == "q+p":
-        cross, names, label = _hstack_cross(f.uq, f.up), ("qq", "pp", "qp"), "query+conditioning"
-    else:
-        cross, label = (f.uq, "qq") if key == "q" else (f.up, "pp")
-        names = (label,)
+    label = {"q": "qq", "p": "pp", "q+p": "query+conditioning"}[key]
+    cross = _hstack_cross(f.uq, f.up) if key == "q+p" else (f.uq if key == "q" else f.up)
     m = cross.shape[1]
     if m == 0:
         return None
-    given = all(getattr(f, name) is not None for name in names)
     if not isinstance(cross, FactoredKernel):
-        rhs = cross.T
-    else:
-        rhs, r = cross.cols, cross.cols.shape[1]
-        if not given and m > r:
-            if f.eps <= 0.0:
-                raise NumericalError(
-                    f"singular {label} block: {m} points on rank-{r} factors with eps = 0"
-                )
-            lam, vecs = np.linalg.eigh(rhs.T @ rhs)
-            np.maximum(lam, 0.0, out=lam)
-            return np.sqrt(lam / (lam + f.eps))[:, None] * vecs.T
-    if key != "q+p":
-        lo = _chol_of(f, label)
-    else:
-        joint = (
-            np.block([[f.qq, f.qp], [f.qp.T, f.pp]]) if given else FactoredKernel(rhs).take()
-        )
-        lo = _chol_or_raise(_reg(joint, f.eps), label)
-    return solve_triangular(lo, rhs, lower=True)
+        if key == "q+p":
+            joint = np.block([[f.qq, f.qp], [f.qp.T, f.pp]])
+            lo = _chol_or_raise(_reg(joint, f.eps), label)
+        else:
+            lo = _chol_of(f, label)
+        return solve_triangular(lo, cross.T, lower=True)
+    fx = cross.cols
+    r = fx.shape[1]
+    if m <= r:
+        lo = _chol_or_raise(_reg(FactoredKernel(fx).take(), f.eps), label)
+        return solve_triangular(lo, fx, lower=True)
+    if f.eps <= 0.0:
+        raise NumericalError(f"singular {label} block: {m} points on rank-{r} factors with eps = 0")
+    lam, vecs = np.linalg.eigh(fx.T @ fx)
+    np.maximum(lam, 0.0, out=lam)
+    return np.sqrt(lam / (lam + f.eps))[:, None] * vecs.T
 
 
 def _coverage_block(f: InfoFunction) -> np.ndarray:
@@ -529,7 +530,9 @@ def _logdetcmi_ratio(f: InfoFunction, A: np.ndarray, sa: np.ndarray) -> float:
     if q == 0:
         return 0.0
     qf = (_chol_of(f, "qq"), True)
-    pp, qp = _dense(f, "pp"), _dense(f, "qp")
+    if not f._cuts:
+        f._cuts.update(pp=_dense(f, "pp"), qp=_dense(f, "qp"))
+    pp, qp = f._cuts["pp"], f._cuts["qp"]
     ua_q, ua_p = _cut(f.uq, A), _cut(f.up, A)
 
     def contraction_logdet(square_reg, cross_q):
@@ -701,17 +704,10 @@ class SelectionState:
         if kind in LOGDET_FAMILY:
             cls = _FactoredShiftedKernel if isinstance(f.uu, FactoredKernel) else _ShiftedKernel
 
-            def term(key=None):
-                return _LogDetTerm(cls(f.uu, f.eps, f._w.get(key)))
-
-            if kind == "logdet":
-                self._terms = [(1.0, term())]
-            elif kind == "logdetmi":
-                self._terms = [(1.0, term()), (-1.0, term("q"))]
-            elif kind == "logdetcg":
-                self._terms = [(1.0, term("p"))]
-            else:  # logdetcmi: condition on P, and on Q union P
-                self._terms = [(1.0, term("p")), (-1.0, term("q+p"))]
+            self._terms = [
+                (sign, _LogDetTerm(cls(f.uu, f.eps, f._w.get(key))))
+                for sign, key in _LOGDET_TERMS[kind]
+            ]
 
     # -- public API -----------------------------------------------------
 

@@ -397,6 +397,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="factored uq"):
             InfoFunction(kind="logdetmi", uu=rescaled_cosine(rng, 5), uq=FactoredKernel(fu, fu[:1]))
 
+    @pytest.mark.parametrize("name", ["qq", "pp", "qp"])
+    def test_dense_conditioning_blocks_rejected_beside_factors(self, name, rng):
+        fu = cosine_factors(rng.standard_normal((6, 3)))
+        fq, fp = cosine_factors(rng.standard_normal((2, 3))), cosine_factors(rng.standard_normal((3, 3)))
+        dense = {"qq": cosine_block(fq[:, 1:]), "pp": cosine_block(fp[:, 1:]), "qp": fq @ fp.T}
+        with pytest.raises(ValueError, match=f"{name} may not be given when uu is factored"):
+            InfoFunction(
+                kind="logdetcmi", uu=FactoredKernel(fu), uq=FactoredKernel(fu, fq),
+                up=FactoredKernel(fu, fp), **{name: dense[name]},
+            )
+
     def test_factored_cross_must_share_the_u_factor(self, rng):
         fu = cosine_factors(rng.standard_normal((5, 3)))
         other = cosine_factors(rng.standard_normal((5, 3)))
@@ -689,21 +700,17 @@ class TestFactorSpaceConditioning:
 
     @pytest.mark.parametrize("kind", ["logdetmi", "logdetcg", "logdetcmi"])
     @pytest.mark.parametrize("m", [3, 20])
-    def test_omitted_blocks_match_given_dense_blocks(self, kind, m, rng):
+    def test_factored_picks_and_values_match_the_dense_path(self, kind, m, rng):
         u = rng.standard_normal((40, self.D))
         q, p = rng.standard_normal((m, self.D)), rng.standard_normal((m, self.D))
-        omitted = self.factored(kind, u, q, p)
-        assert (omitted.qq, omitted.pp, omitted.qp) == (None, None, None)
-        given = InfoFunction(
-            kind=kind, uu=omitted.uu, uq=omitted.uq, up=omitted.up,
-            qq=cosine_block(q), pp=cosine_block(p), qp=cosine_block(q, p),
-        )
+        dense, factored = dense_and_factored(kind, u, q, p)
+        assert (factored.qq, factored.pp, factored.qp) == (None, None, None)
         cfg = GreedyConfig(budget=15, variant="naive")
-        picks = greedy_select(omitted, cfg).chosen
-        assert picks == greedy_select(given, cfg).chosen
+        picks = greedy_select(factored, cfg).chosen
+        assert picks == greedy_select(dense, cfg).chosen
         for size in (1, 8, 15):
-            want = evaluate(given, picks[:size])
-            assert abs(evaluate(omitted, picks[:size]) - want) <= 1e-12 * abs(want)
+            want = evaluate(dense, picks[:size])
+            assert abs(evaluate(factored, picks[:size]) - want) <= 1e-12 * abs(want)
 
     def test_a_set_three_times_the_rank_allocates_no_square_block(self, rng):
         d = 99
