@@ -163,6 +163,8 @@ def _cmd_sweep(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise ValueError("sweep needs at least two methods")
+    if args.num_seeds < 2:
+        raise ValueError("sweep needs --num-seeds >= 2 (the penalty t-test is undefined on one seed)")
     seeds = [config.seed + i for i in range(args.num_seeds)]
     out = Path(config.output_dir) if config.output_dir else Path("runs") / f"sweep-{config.scenario}"
     out.mkdir(parents=True, exist_ok=True)

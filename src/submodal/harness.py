@@ -44,29 +44,19 @@ from .surrogate import (
     train,
 )
 
-SCENARIOS = ("standard", "rare", "redundancy", "ood")
-
-_SCENARIO_CONFIGS = {
-    "standard": sc.StandardSplitConfig,
-    "rare": sc.RareSplitConfig,
-    "redundancy": sc.RedundantSplitConfig,
-    "ood": sc.OODSplitConfig,
-}
-_SCENARIO_BUILDERS = {
-    "standard": sc.build_standard_split,
-    "rare": sc.build_rare_split,
-    "redundancy": sc.build_redundant_split,
-    "ood": sc.build_ood_split,
-}
+SCENARIOS = tuple(sc.SPLITS)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     variant: str = "auto"  # auto | naive | lazy (submodular kinds only) | stochastic
     sg_epsilon: float = 0.01
-    partitions: int = 0  # 0 = auto: partition the FL kinds' coverage block above chunk_target
+    partitions: int = 0  # 0 = auto: partition the FL kinds' pools above _CHUNK_TARGET points
     stop_on_negative: bool = False
-    chunk_target: int = 20000
+
+    def __post_init__(self):
+        if self.partitions < 0:
+            raise ValueError(f"partitions must be >= 0 (0 = auto), got {self.partitions}")
 
 
 @dataclass(frozen=True)
@@ -171,12 +161,9 @@ class RunConfig:
     def from_dict(cls, payload: Mapping) -> "RunConfig":
         payload = dict(payload)
         for key, sub in (("optimizer", OptimizerConfig), ("model", ModelConfig), ("function", FunctionConfig)):
-            if key in payload and isinstance(payload[key], Mapping):
-                payload[key] = sub(**payload[key])
-        unknown = set(payload) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**payload)
+            if key in payload:
+                payload[key] = _from_fields(sub, payload[key], key)
+        return _from_fields(cls, payload, "config")
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -185,6 +172,17 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _from_fields(cls, params, what: str, **defaults):
+    """``cls(**defaults, **params)``, with a ValueError (exit 2) for a
+    ``params`` that is no mapping or names a field ``cls`` lacks."""
+    if not isinstance(params, Mapping):
+        raise ValueError(f"{what} must be a mapping of fields, got {params!r}")
+    unknown = set(params) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    return cls(**{**defaults, **params})
 
 
 @dataclass(frozen=True)
@@ -241,14 +239,11 @@ class LabelGuard:
 
 def build_scenario(config: RunConfig):
     """Construct the split plus a matched balanced test draw."""
-    params = dict(config.scenario_params)
-    params.setdefault("seed", config.seed)
-    cfg_cls = _SCENARIO_CONFIGS[config.scenario]
-    unknown = set(params) - set(cfg_cls.__dataclass_fields__)
-    if unknown:
-        raise ValueError(f"unknown {config.scenario} scenario fields: {sorted(unknown)}")
-    scenario_cfg = cfg_cls(**params)
-    split = _SCENARIO_BUILDERS[config.scenario](scenario_cfg)
+    cfg_cls, build = sc.SPLITS[config.scenario]
+    scenario_cfg = _from_fields(
+        cfg_cls, config.scenario_params, f"{config.scenario} scenario", seed=config.seed
+    )
+    split = build(scenario_cfg)
 
     eval_classes = list(split.id_classes) if split.ood_classes else list(range(split.num_classes))
     counts = [config.test_per_class if c in eval_classes else 0 for c in range(split.num_classes)]
@@ -317,10 +312,14 @@ def compute_metrics(
     }
 
 
+# Auto partitioning gives each FL chunk at most this many pool points.
+_CHUNK_TARGET = 20000
+
+
 def _resolve_partitions(config: RunConfig, kind: str, n_unlabeled: int) -> int:
     p = config.optimizer.partitions
-    if p <= 0:  # only the FL coverage block grows with n^2
-        p = math.ceil(n_unlabeled / config.optimizer.chunk_target) if kind in FL_FAMILY else 1
+    if p == 0:  # only the FL coverage block grows with n^2
+        p = math.ceil(n_unlabeled / _CHUNK_TARGET) if kind in FL_FAMILY else 1
     return max(1, min(p, config.budget, n_unlabeled))
 
 

@@ -1,10 +1,17 @@
 """Synthetic experimental settings: standard, rare-class, redundancy, OOD.
 
-Each builder lays out Gaussian-blob data with exact integer per-class
-counts and deterministic role assignment, so realized class ratios equal
-the configured layout with no sampling noise.  Class means live on a
-seeded random sphere of radius 4 * spread; a separate point stream lets
-matched test sets share the means without repeating pool points.
+Each builder gives every class a layout, a list of ``(role, count)``
+pairs, and ``_lay_out`` draws Gaussian blobs with exactly those counts,
+handing each role its consecutive index ranges class by class.  Standard
+classes, ID classes and common rare-split classes lay out labeled,
+validation, unlabeled; rare classes add rare_query; OOD classes are
+unlabeled only; the redundancy split lays out labeled, unlabeled and
+then appends copies of a seeded share of its unlabeled points.  Realized
+class ratios thus equal the configured layout with no sampling noise.
+Class means live on a seeded random sphere of radius 4 * spread; a
+separate point stream lets matched test sets share the means without
+repeating pool points.  ``SPLITS`` maps each scenario name to its config
+class and builder.
 """
 
 from __future__ import annotations
@@ -23,6 +30,10 @@ QUERY_SOURCES = ("none", "rare_set", "labeled_id", "full_unlabeled")
 CONDITIONING_SOURCES = ("none", "labeled", "labeled_ood")
 
 
+def _no_indices() -> np.ndarray:
+    return np.array([], dtype=np.intp)
+
+
 @dataclass(frozen=True)
 class ScenarioSplit:
     """Pool of points with role bookkeeping for one AL experiment.
@@ -30,19 +41,21 @@ class ScenarioSplit:
     Index sets (into features/labels): labeled L, unlabeled U, held-out
     rare queries R, validation V, plus the OOD bookkeeping sets I
     (labeled in-distribution, seeded with the ID validation points) and
-    O (labeled out-of-distribution, initially empty).
+    O (labeled out-of-distribution, initially empty).  A scenario
+    without a set leaves it empty; ``duplication_map`` (each point's
+    original) defaults to the identity.
     """
 
     features: np.ndarray
     labels: np.ndarray
     labeled: np.ndarray
     unlabeled: np.ndarray
-    rare_query: np.ndarray
-    validation: np.ndarray
-    labeled_id: np.ndarray
-    labeled_ood: np.ndarray
-    duplication_map: np.ndarray
     num_classes: int
+    rare_query: np.ndarray = field(default_factory=_no_indices)
+    validation: np.ndarray = field(default_factory=_no_indices)
+    labeled_id: np.ndarray = field(default_factory=_no_indices)
+    labeled_ood: np.ndarray = field(default_factory=_no_indices)
+    duplication_map: np.ndarray = field(default=None)
     rare_classes: tuple[int, ...] = ()
     id_classes: tuple[int, ...] = ()
     ood_classes: tuple[int, ...] = ()
@@ -51,6 +64,8 @@ class ScenarioSplit:
     initial_labeled: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        if self.duplication_map is None:
+            object.__setattr__(self, "duplication_map", np.arange(len(self.labels)))
         if self.initial_labeled is None:
             object.__setattr__(self, "initial_labeled", self.labeled.copy())
         sets = [self.labeled, self.unlabeled, self.rare_query, self.validation]
@@ -162,34 +177,36 @@ def _spread_counts(total: int, classes: int) -> list[int]:
     return [base + (1 if c < extra else 0) for c in range(classes)]
 
 
-def build_standard_split(cfg: StandardSplitConfig) -> ScenarioSplit:
-    per_class = cfg.labeled_per_class + cfg.valid_per_class + cfg.unlabeled_per_class
-    feats, labels = make_blobs(
-        [per_class] * cfg.num_classes, cfg.dim, cfg.spread, cfg.seed, mean_seed=cfg.seed
-    )
-    L, V, U = [], [], []
+_ROLES = ("labeled", "unlabeled", "rare_query", "validation")
+
+
+def _lay_out(cfg, layouts: Sequence[Sequence[tuple[str, int]]]) -> dict:
+    """ScenarioSplit fields of blobs with one class per layout, each
+    class's points split into consecutive role ranges in layout order.
+
+    Returns features, labels, the blob geometry (spread, mean_seed) that
+    test draws reuse, and the indices of every role in ``_ROLES``; a role
+    that no layout lists comes back empty.
+    """
+    counts = [sum(n for _, n in layout) for layout in layouts]
+    feats, labels = make_blobs(counts, cfg.dim, cfg.spread, cfg.seed, mean_seed=cfg.seed)
+    idx = {role: [] for role in _ROLES}
     offset = 0
-    for _ in range(cfg.num_classes):
-        L.extend(range(offset, offset + cfg.labeled_per_class))
-        offset += cfg.labeled_per_class
-        V.extend(range(offset, offset + cfg.valid_per_class))
-        offset += cfg.valid_per_class
-        U.extend(range(offset, offset + cfg.unlabeled_per_class))
-        offset += cfg.unlabeled_per_class
-    return ScenarioSplit(
-        features=feats,
-        labels=labels,
-        labeled=np.array(L, dtype=np.intp),
-        unlabeled=np.array(U, dtype=np.intp),
-        rare_query=np.array([], dtype=np.intp),
-        validation=np.array(V, dtype=np.intp),
-        labeled_id=np.array([], dtype=np.intp),
-        labeled_ood=np.array([], dtype=np.intp),
-        duplication_map=np.arange(len(labels)),
-        num_classes=cfg.num_classes,
-        spread=cfg.spread,
-        mean_seed=cfg.seed,
-    )
+    for layout in layouts:
+        for role, n in layout:
+            idx[role].extend(range(offset, offset + n))
+            offset += n
+    roles = {role: np.array(ix, dtype=np.intp) for role, ix in idx.items()}
+    return dict(features=feats, labels=labels, spread=cfg.spread, mean_seed=cfg.seed, **roles)
+
+
+def build_standard_split(cfg: StandardSplitConfig) -> ScenarioSplit:
+    layout = [
+        ("labeled", cfg.labeled_per_class),
+        ("validation", cfg.valid_per_class),
+        ("unlabeled", cfg.unlabeled_per_class),
+    ]
+    return ScenarioSplit(**_lay_out(cfg, [layout] * cfg.num_classes), num_classes=cfg.num_classes)
 
 
 def build_rare_split(cfg: RareSplitConfig) -> ScenarioSplit:
@@ -197,48 +214,19 @@ def build_rare_split(cfg: RareSplitConfig) -> ScenarioSplit:
         raise ValueError(f"imbalance factor must be >= 1, got {cfg.rho}")
     classes = cfg.num_classes
     rare = tuple(range(classes - classes // 2, classes))
-    unlabeled_rare = int(round(cfg.unlabeled_common / cfg.rho))
-    counts, roles = [], []
-    for cls in range(classes):
-        if cls in rare:
-            layout = [
-                ("labeled", cfg.labeled_rare),
-                ("validation", cfg.valid_per_class),
-                ("unlabeled", unlabeled_rare),
-                ("rare_query", cfg.rare_query_per_class),
-            ]
-        else:
-            layout = [
-                ("labeled", cfg.labeled_common),
-                ("validation", cfg.valid_per_class),
-                ("unlabeled", cfg.unlabeled_common),
-            ]
-        counts.append(sum(n for _, n in layout))
-        roles.append(layout)
-    feats, labels = make_blobs(counts, cfg.dim, cfg.spread, cfg.seed, mean_seed=cfg.seed)
-    if len(labels) < sum(counts):
-        raise ValueError("insufficient generated points for the configured layout")
-    idx = {"labeled": [], "validation": [], "unlabeled": [], "rare_query": []}
-    offset = 0
-    for layout in roles:
-        for role, n in layout:
-            idx[role].extend(range(offset, offset + n))
-            offset += n
-    return ScenarioSplit(
-        features=feats,
-        labels=labels,
-        labeled=np.array(idx["labeled"], dtype=np.intp),
-        unlabeled=np.array(idx["unlabeled"], dtype=np.intp),
-        rare_query=np.array(idx["rare_query"], dtype=np.intp),
-        validation=np.array(idx["validation"], dtype=np.intp),
-        labeled_id=np.array([], dtype=np.intp),
-        labeled_ood=np.array([], dtype=np.intp),
-        duplication_map=np.arange(len(labels)),
-        num_classes=classes,
-        rare_classes=rare,
-        spread=cfg.spread,
-        mean_seed=cfg.seed,
-    )
+    common = [
+        ("labeled", cfg.labeled_common),
+        ("validation", cfg.valid_per_class),
+        ("unlabeled", cfg.unlabeled_common),
+    ]
+    rare_layout = [
+        ("labeled", cfg.labeled_rare),
+        ("validation", cfg.valid_per_class),
+        ("unlabeled", int(round(cfg.unlabeled_common / cfg.rho))),
+        ("rare_query", cfg.rare_query_per_class),
+    ]
+    layouts = [rare_layout if cls in rare else common for cls in range(classes)]
+    return ScenarioSplit(**_lay_out(cfg, layouts), num_classes=classes, rare_classes=rare)
 
 
 def build_redundant_split(cfg: RedundantSplitConfig) -> ScenarioSplit:
@@ -246,84 +234,56 @@ def build_redundant_split(cfg: RedundantSplitConfig) -> ScenarioSplit:
         raise ValueError(f"dup_fraction must lie in [0, 1], got {cfg.dup_fraction}")
     if cfg.redundancy_factor < 1:
         raise ValueError(f"redundancy factor must be >= 1, got {cfg.redundancy_factor}")
-    labeled_counts = _spread_counts(cfg.labeled_count, cfg.num_classes)
-    unique_counts = _spread_counts(cfg.unique_count, cfg.num_classes)
-    counts = [l + u for l, u in zip(labeled_counts, unique_counts)]
-    feats, labels = make_blobs(counts, cfg.dim, cfg.spread, cfg.seed, mean_seed=cfg.seed)
-    L, U = [], []
-    offset = 0
-    for l, u in zip(labeled_counts, unique_counts):
-        L.extend(range(offset, offset + l))
-        offset += l
-        U.extend(range(offset, offset + u))
-        offset += u
-    L = np.array(L, dtype=np.intp)
-    U = np.array(U, dtype=np.intp)
+    layouts = [
+        [("labeled", l), ("unlabeled", u)]
+        for l, u in zip(
+            _spread_counts(cfg.labeled_count, cfg.num_classes),
+            _spread_counts(cfg.unique_count, cfg.num_classes),
+        )
+    ]
+    split = ScenarioSplit(**_lay_out(cfg, layouts), num_classes=cfg.num_classes)
 
     n_dup = int(round(cfg.unique_count * cfg.dup_fraction))
     rng = np.random.default_rng(cfg.seed + 1)
-    dup_originals = np.sort(rng.choice(U, size=n_dup, replace=False))
+    dup_originals = np.sort(rng.choice(split.unlabeled, size=n_dup, replace=False))
     copies_per = cfg.redundancy_factor - 1
-    dup_map = np.arange(len(labels))
-    if copies_per > 0 and n_dup > 0:
-        copy_sources = np.repeat(dup_originals, copies_per)
-        feats = np.vstack([feats, feats[copy_sources]])
-        labels = np.concatenate([labels, labels[copy_sources]])
-        dup_map = np.concatenate([dup_map, copy_sources])
-        U = np.concatenate([U, np.arange(len(dup_map) - len(copy_sources), len(dup_map))])
-    return ScenarioSplit(
-        features=feats,
-        labels=labels,
-        labeled=L,
-        unlabeled=U,
-        rare_query=np.array([], dtype=np.intp),
-        validation=np.array([], dtype=np.intp),
-        labeled_id=np.array([], dtype=np.intp),
-        labeled_ood=np.array([], dtype=np.intp),
-        duplication_map=dup_map,
-        num_classes=cfg.num_classes,
-        spread=cfg.spread,
-        mean_seed=cfg.seed,
+    if copies_per == 0 or n_dup == 0:
+        return split
+    sources = np.repeat(dup_originals, copies_per)
+    n = len(split.labels)
+    return replace(
+        split,
+        features=np.vstack([split.features, split.features[sources]]),
+        labels=np.concatenate([split.labels, split.labels[sources]]),
+        unlabeled=np.concatenate([split.unlabeled, np.arange(n, n + len(sources))]),
+        duplication_map=np.concatenate([split.duplication_map, sources]),
     )
 
 
 def build_ood_split(cfg: OODSplitConfig) -> ScenarioSplit:
-    id_classes = tuple(range(cfg.num_id_classes))
-    ood_classes = tuple(range(cfg.num_id_classes, cfg.num_id_classes + cfg.num_ood_classes))
-    if set(id_classes) & set(ood_classes):
-        raise ValueError("ID and OOD class lists must be disjoint")
-    counts = [cfg.labeled_per_id + cfg.valid_per_id + cfg.unlabeled_per_id] * len(id_classes)
-    counts += [cfg.unlabeled_per_ood] * len(ood_classes)
-    feats, labels = make_blobs(counts, cfg.dim, cfg.spread, cfg.seed, mean_seed=cfg.seed)
-    L, V, U = [], [], []
-    offset = 0
-    for _ in id_classes:
-        L.extend(range(offset, offset + cfg.labeled_per_id))
-        offset += cfg.labeled_per_id
-        V.extend(range(offset, offset + cfg.valid_per_id))
-        offset += cfg.valid_per_id
-        U.extend(range(offset, offset + cfg.unlabeled_per_id))
-        offset += cfg.unlabeled_per_id
-    for _ in ood_classes:
-        U.extend(range(offset, offset + cfg.unlabeled_per_ood))
-        offset += cfg.unlabeled_per_ood
-    V = np.array(V, dtype=np.intp)
+    id_layout = [
+        ("labeled", cfg.labeled_per_id),
+        ("validation", cfg.valid_per_id),
+        ("unlabeled", cfg.unlabeled_per_id),
+    ]
+    ood_layout = [("unlabeled", cfg.unlabeled_per_ood)]
+    fields = _lay_out(cfg, [id_layout] * cfg.num_id_classes + [ood_layout] * cfg.num_ood_classes)
+    num_classes = cfg.num_id_classes + cfg.num_ood_classes
     return ScenarioSplit(
-        features=feats,
-        labels=labels,
-        labeled=np.array(L, dtype=np.intp),
-        unlabeled=np.array(U, dtype=np.intp),
-        rare_query=np.array([], dtype=np.intp),
-        validation=V,
-        labeled_id=V.copy(),  # I starts as the small ID validation set
-        labeled_ood=np.array([], dtype=np.intp),
-        duplication_map=np.arange(len(labels)),
-        num_classes=cfg.num_id_classes + cfg.num_ood_classes,
-        id_classes=id_classes,
-        ood_classes=ood_classes if cfg.num_ood_classes else (),
-        spread=cfg.spread,
-        mean_seed=cfg.seed,
+        **fields,
+        labeled_id=fields["validation"].copy(),  # I starts as the small ID validation set
+        num_classes=num_classes,
+        id_classes=tuple(range(cfg.num_id_classes)),
+        ood_classes=tuple(range(cfg.num_id_classes, num_classes)),
     )
+
+
+SPLITS = {
+    "standard": (StandardSplitConfig, build_standard_split),
+    "rare": (RareSplitConfig, build_rare_split),
+    "redundancy": (RedundantSplitConfig, build_redundant_split),
+    "ood": (OODSplitConfig, build_ood_split),
+}
 
 
 def update_ood_sets(split: ScenarioSplit, selected: Sequence[int]) -> ScenarioSplit:
@@ -347,7 +307,6 @@ def update_ood_sets(split: ScenarioSplit, selected: Sequence[int]) -> ScenarioSp
         unlabeled=new_unlabeled,
         labeled_id=labeled_id,
         labeled_ood=labeled_ood,
-        initial_labeled=split.initial_labeled,
     )
 
 

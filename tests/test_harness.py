@@ -546,3 +546,53 @@ class TestCli:
             assert "id_selected" not in line
             finals = [recs[-1]["rare_accuracy"] for recs in runs]
             assert f"final rare_accuracy={np.mean(finals):.4f} +/- {np.std(finals):.4f}" in line
+
+
+class TestConfigSections:
+    @pytest.mark.parametrize("section", ["optimizer", "model", "function"])
+    def test_unknown_section_field_rejected(self, section):
+        with pytest.raises(ValueError, match=f"unknown {section} fields: \\['bogus'\\]"):
+            RunConfig.from_dict({section: {"bogus": 1}})
+
+    @pytest.mark.parametrize("section", ["optimizer", "model", "function"])
+    def test_non_mapping_section_rejected(self, section):
+        with pytest.raises(ValueError, match=f"{section} must be a mapping"):
+            RunConfig.from_dict({section: 3})
+
+    def test_negative_partitions_rejected(self):
+        with pytest.raises(ValueError, match="partitions must be >= 0"):
+            OptimizerConfig(partitions=-3)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--function", "flqmi", "--set", "optimizer.bogus=1"],
+            ["--function", "flqmi", "--set", "model.bogus=1"],
+            ["--function", "flqmi", "--set", "function.bogus=1"],
+            ["--function", "flqmi", "--set", "optimizer=3"],
+            ["--function", "random", "--set", "optimizer=3"],
+            ["--function", "flqmi", "--partitions", "-3"],
+        ],
+    )
+    def test_bad_section_exits_two_before_running(self, flags, monkeypatch, tmp_path, capsys):
+        import submodal.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli.hn, "run_al", lambda *a, **k: calls.append(a))
+        rc = cli_main(["run", "--scenario", "rare", *flags, "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert calls == []
+        assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_with_one_seed_exits_two_before_any_run(monkeypatch, tmp_path):
+    import submodal.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli.hn, "run_al", lambda *a, **k: calls.append(a))
+    rc = cli_main(
+        ["sweep", "--scenario", "rare", "--methods", "random,flqmi", "--num-seeds", "1",
+         "--output-dir", str(tmp_path)]
+    )
+    assert rc == 2
+    assert calls == []

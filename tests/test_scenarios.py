@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,46 @@ class TestBaselineSelect:
     def test_unknown_method_rejected(self, split):
         with pytest.raises(ValueError, match="baseline"):
             baseline_select("badge", None, split, 3)
+
+
+# First 16 hex digits of the SHA-256 of each integer output, as int64
+# bytes, at the builder's default config.  The layouts are pure integer
+# bookkeeping, so any change to role order, counts or class order shows.
+_EMPTY = "e3b0c44298fc1c14"
+LAYOUT_DIGESTS = {
+    "standard": (build_standard_split, StandardSplitConfig, {
+        "labeled": "12eceef6fbd48c27", "unlabeled": "2b47130a2f5e78e5",
+        "rare_query": _EMPTY, "validation": "771d45b145c855e8",
+        "labeled_id": _EMPTY, "labeled_ood": _EMPTY,
+        "labels": "dfaf13a2a58e50b4", "duplication_map": "96e3670f2962c8d1",
+    }),
+    "rare": (build_rare_split, RareSplitConfig, {
+        "labeled": "512df92b8a407a3a", "unlabeled": "4c3fe3178b98a067",
+        "rare_query": "fa06a714bfb79341", "validation": "dd23f2c7ee6cd738",
+        "labeled_id": _EMPTY, "labeled_ood": _EMPTY,
+        "labels": "37d9234ad0a2b365", "duplication_map": "e0327614b0369cde",
+    }),
+    "redundancy": (build_redundant_split, RedundantSplitConfig, {
+        "labeled": "76962ad34eb6b4cc", "unlabeled": "33fa46c4a36fd3b3",
+        "rare_query": _EMPTY, "validation": _EMPTY,
+        "labeled_id": _EMPTY, "labeled_ood": _EMPTY,
+        "labels": "e8704d1281d62bed", "duplication_map": "1ef8fedaf0e0a262",
+    }),
+    "ood": (build_ood_split, OODSplitConfig, {
+        "labeled": "d772a1c8d1a5a3f3", "unlabeled": "9a6f116249b2e92b",
+        "rare_query": _EMPTY, "validation": "f9db2a7642513511",
+        "labeled_id": "f9db2a7642513511", "labeled_ood": _EMPTY,
+        "labels": "8794d30d0d2dac3e", "duplication_map": "602825bb4ecb416f",
+    }),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(LAYOUT_DIGESTS))
+def test_default_layouts_pinned_by_digest(scenario):
+    build, config, expected = LAYOUT_DIGESTS[scenario]
+    split = build(config())
+    got = {
+        name: hashlib.sha256(np.asarray(getattr(split, name), dtype=np.int64).tobytes()).hexdigest()[:16]
+        for name in expected
+    }
+    assert got == expected
