@@ -56,9 +56,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--function", "--method", dest="method", help="function kind or baseline name")
     p.add_argument("--rounds", type=int)
     p.add_argument("--budget", type=int)
-    p.add_argument("--optimizer", choices=["auto", "naive", "lazy", "stochastic"])
-    p.add_argument("--partitions", type=int)
-    p.add_argument("--sg-epsilon", type=float)
+    p.add_argument("--optimizer", dest="optimizer.variant", choices=hn.OPTIMIZERS)
+    p.add_argument("--partitions", dest="optimizer.partitions", type=int)
+    p.add_argument("--sg-epsilon", dest="optimizer.sg_epsilon", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--output-dir")
     p.add_argument(
@@ -70,45 +70,49 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+# The dests of the dedicated config flags: each is the dotted key it sets.
+_FLAG_KEYS = (
+    "scenario", "method", "rounds", "budget", "optimizer.variant", "optimizer.partitions",
+    "optimizer.sg_epsilon", "seed", "output_dir",
+)
+
+
 def _load_config(args) -> hn.RunConfig:
+    """The ``--config`` file, then the dedicated flags, then every
+    ``--set`` item, each assigned to its dotted key in that order."""
     payload: dict = {}
     if args.config:
         with open(args.config) as fh:
             payload = json.load(fh)
-    for flag, key in (
-        ("scenario", "scenario"),
-        ("method", "method"),
-        ("rounds", "rounds"),
-        ("budget", "budget"),
-        ("seed", "seed"),
-        ("output_dir", "output_dir"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            payload[key] = val
-    opt = dict(payload.get("optimizer", {}))
-    if getattr(args, "optimizer", None) is not None:
-        opt["variant"] = args.optimizer
-    if getattr(args, "partitions", None) is not None:
-        opt["partitions"] = args.partitions
-    if getattr(args, "sg_epsilon", None) is not None:
-        opt["sg_epsilon"] = args.sg_epsilon
-    if opt:
-        payload["optimizer"] = opt
-    for item in getattr(args, "set", []):
-        key, _, raw = item.partition("=")
-        if not _:
+    overrides = [(key, getattr(args, key)) for key in _FLAG_KEYS if getattr(args, key) is not None]
+    for item in args.set:
+        key, sep, raw = item.partition("=")
+        if not sep:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = payload
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = value
+        overrides.append((key, value))
+    for key, value in overrides:
+        _assign(payload, key, value)
     return hn.RunConfig.from_dict(payload)
+
+
+def _assign(payload, key: str, value) -> None:
+    """Set dotted ``key`` of ``payload`` to ``value``, creating the missing
+    mappings on the way; a node on the way that is no mapping is a config
+    error."""
+    parts = key.split(".")
+    node = payload
+    for depth, part in enumerate(parts):
+        if not isinstance(node, dict):
+            where = ".".join(parts[:depth]) or "the config"
+            raise ValueError(f"cannot set {key}: {where} is {node!r}, not a mapping")
+        if depth < len(parts) - 1:
+            node = node.setdefault(part, {})
+        else:
+            node[part] = value
 
 
 def _default_output_dir(config: hn.RunConfig) -> Path:

@@ -64,11 +64,12 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from .similarity import DEFAULT_LOGDET_EPS, FactoredKernel
 
 SF_KINDS = ("fl", "gc", "logdet")
-SMI_KINDS = ("flvmi", "flqmi", "gcmi", "logdetmi")
-SCG_KINDS = ("flcg", "gccg", "logdetcg")
-SCMI_KINDS = ("flcmi", "logdetcmi")
-HEURISTIC_KINDS = ("div_gcmi",)
-ALL_KINDS = SF_KINDS + SMI_KINDS + SCG_KINDS + SCMI_KINDS + HEURISTIC_KINDS
+ALL_KINDS = SF_KINDS + (
+    "flvmi", "flqmi", "gcmi", "logdetmi",  # SMI
+    "flcg", "gccg", "logdetcg",  # SCG
+    "flcmi", "logdetcmi",  # SCMI
+    "div_gcmi",
+)
 
 LOGDET_FAMILY = frozenset({"logdet", "logdetmi", "logdetcg", "logdetcmi"})
 # Kinds that are submodular in A, so their gains never rise as A grows and
@@ -81,11 +82,14 @@ FL_FAMILY = frozenset({"fl", "flvmi", "flcg", "flcmi", "div_gcmi"})
 # Kinds whose selection objective only ever needs the rectangular U x Q block.
 RECTANGULAR_ONLY = frozenset({"flqmi", "gcmi"})
 
-_NEEDS_UQ = frozenset({"flvmi", "flqmi", "gcmi", "logdetmi", "flcmi", "logdetcmi", "div_gcmi"})
-_NEEDS_UP = frozenset({"flcg", "gccg", "logdetcg", "flcmi", "logdetcmi"})
-_NEEDS_QQ = frozenset({"logdetmi", "logdetcmi"})
-_NEEDS_PP = frozenset({"logdetcg", "logdetcmi"})
-_NEEDS_QP = frozenset({"logdetcmi"})
+# Kinds that read a query set Q (the U x Q block) and a conditioning set
+# P (the U x P block); every other block a kind reads follows from these.
+READS_Q = frozenset({"flvmi", "flqmi", "gcmi", "logdetmi", "flcmi", "logdetcmi", "div_gcmi"})
+READS_P = frozenset({"flcg", "gccg", "logdetcg", "flcmi", "logdetcmi"})
+# The log-det kinds also read the dense squares of the sets they read.
+_NEEDS_QQ = LOGDET_FAMILY & READS_Q
+_NEEDS_PP = LOGDET_FAMILY & READS_P
+_NEEDS_QP = LOGDET_FAMILY & READS_Q & READS_P
 
 # Signed log-det terms of each log-det kind, each over the kernel
 # conditioned on the set its key names (None: unconditioned; "q" is Q,
@@ -214,7 +218,7 @@ class InfoFunction:
             n = uu.shape[0]
             object.__setattr__(self, "uu", uu)
 
-        for name, needed in (("uq", kind in _NEEDS_UQ), ("up", kind in _NEEDS_UP)):
+        for name, needed in (("uq", kind in READS_Q), ("up", kind in READS_P)):
             if name == "uq" and kind in RECTANGULAR_ONLY:
                 continue  # normalized above
             val = getattr(self, name)
@@ -851,21 +855,17 @@ def from_joint(
     P are index lists into it.  Used by the definitional-identity tests
     and the Table-1 reduction checks.
     """
-    kind = canonical_kind(kind)
     joint = _as_block(joint)
     Q = np.asarray(query if query is not None else [], dtype=np.intp)
     P = np.asarray(conditioning if conditioning is not None else [], dtype=np.intp)
-    blocks = {}
-    if kind not in RECTANGULAR_ONLY:
-        blocks["uu"] = joint
-    if kind in _NEEDS_UQ or kind in RECTANGULAR_ONLY:
-        blocks["uq"] = joint[:, Q]
-    if kind in _NEEDS_UP:
-        blocks["up"] = joint[:, P]
-    if kind in _NEEDS_QQ:
-        blocks["qq"] = joint[np.ix_(Q, Q)]
-    if kind in _NEEDS_PP:
-        blocks["pp"] = joint[np.ix_(P, P)]
-    if kind in _NEEDS_QP:
-        blocks["qp"] = joint[np.ix_(Q, P)]
-    return InfoFunction(kind=kind, **blocks, **kwargs)
+    # Each kind keeps the blocks it reads (READS_Q/READS_P) and drops the rest.
+    return InfoFunction(
+        kind=kind,
+        uu=joint,
+        uq=joint[:, Q],
+        up=joint[:, P],
+        qq=joint[np.ix_(Q, Q)],
+        pp=joint[np.ix_(P, P)],
+        qp=joint[np.ix_(Q, P)],
+        **kwargs,
+    )

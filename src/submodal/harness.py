@@ -25,16 +25,14 @@ from . import similarity as sim
 from .functions import (
     FL_FAMILY,
     LOGDET_FAMILY,
+    READS_P,
+    READS_Q,
     SUBMODULAR,
     InfoFunction,
     NumericalError,
-    SCG_KINDS,
-    SCMI_KINDS,
-    SF_KINDS,
-    SMI_KINDS,
     canonical_kind,
 )
-from .greedy import GreedyConfig, default_variant, greedy_select, partitioned_select
+from .greedy import VARIANTS, GreedyConfig, default_variant, greedy_select, partitioned_select
 from .surrogate import (
     SurrogateModel,
     TrainConfig,
@@ -45,6 +43,7 @@ from .surrogate import (
 )
 
 SCENARIOS = tuple(sc.SPLITS)
+OPTIMIZERS = ("auto",) + VARIANTS
 
 
 @dataclass(frozen=True)
@@ -52,9 +51,12 @@ class OptimizerConfig:
     variant: str = "auto"  # auto | naive | lazy (submodular kinds only) | stochastic
     sg_epsilon: float = 0.01
     partitions: int = 0  # 0 = auto: partition the FL kinds' pools above _CHUNK_TARGET points
-    stop_on_negative: bool = False
 
     def __post_init__(self):
+        if self.variant not in OPTIMIZERS:
+            raise ValueError(f"optimizer variant must be one of {OPTIMIZERS}, got {self.variant!r}")
+        if not 0.0 < self.sg_epsilon < 1.0:
+            raise ValueError(f"sg_epsilon must lie in (0, 1), got {self.sg_epsilon}")
         if self.partitions < 0:
             raise ValueError(f"partitions must be >= 0 (0 = auto), got {self.partitions}")
 
@@ -65,6 +67,14 @@ class ModelConfig:
     epochs: int = 300
     l2: float = 1e-4
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.l2 < 0:
+            raise ValueError(f"l2 must be >= 0, got {self.l2}")
+
 
 @dataclass(frozen=True)
 class FunctionConfig:
@@ -72,57 +82,23 @@ class FunctionConfig:
     gc_lambda: float = 1.0
     eta: float = 1.0
 
-
-@dataclass(frozen=True)
-class AcquisitionSpec:
-    """Which sets feed the query and conditioning blocks (Table-1 wiring)."""
-
-    kind: str
-    query_source: str = "none"
-    conditioning_source: str = "none"
-
     def __post_init__(self):
-        if self.query_source not in sc.QUERY_SOURCES:
-            raise ValueError(f"unknown query source {self.query_source!r}")
-        if self.conditioning_source not in sc.CONDITIONING_SOURCES:
-            raise ValueError(f"unknown conditioning source {self.conditioning_source!r}")
-        kind = canonical_kind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        if kind in SF_KINDS and not (
-            self.query_source in ("none", "full_unlabeled")
-            and self.conditioning_source == "none"
-        ):
-            raise ValueError(f"{kind} takes the full unlabeled set as query and no conditioning")
-        if kind in SMI_KINDS or kind == "div_gcmi":
-            if self.query_source not in ("rare_set", "labeled_id"):
-                raise ValueError(f"{kind} needs a proper query set (rare_set or labeled_id)")
-            if self.conditioning_source != "none":
-                raise ValueError(f"{kind} does not condition")
-        if kind in SCG_KINDS:
-            if self.conditioning_source == "none":
-                raise ValueError(f"{kind} requires a conditioning source")
-            if self.query_source not in ("none", "full_unlabeled"):
-                raise ValueError(f"{kind} implicitly uses the full unlabeled set as query")
-        if kind in SCMI_KINDS:
-            if self.query_source not in ("rare_set", "labeled_id"):
-                raise ValueError(f"{kind} needs a proper query set")
-            if self.conditioning_source == "none":
-                raise ValueError(f"{kind} requires a conditioning source")
+        if self.eps is not None and self.eps < 0:
+            raise ValueError(f"eps must be >= 0, got {self.eps}")
 
 
-def default_acquisition(scenario: str, kind: str) -> AcquisitionSpec:
-    kind = canonical_kind(kind)
-    if kind in SF_KINDS:
-        return AcquisitionSpec(kind, "full_unlabeled", "none")
-    if kind in SMI_KINDS or kind == "div_gcmi":
-        source = "labeled_id" if scenario == "ood" else "rare_set"
-        return AcquisitionSpec(kind, source, "none")
-    if kind in SCG_KINDS:
-        return AcquisitionSpec(kind, "full_unlabeled", "labeled")
-    # conditional MI: OOD wiring by default, rare query + labeled otherwise
-    if scenario == "ood":
-        return AcquisitionSpec(kind, "labeled_id", "labeled_ood")
-    return AcquisitionSpec(kind, "rare_set", "labeled")
+def table1_fields(scenario: str, kind: str) -> tuple[str | None, str | None]:
+    """The split fields that feed ``kind``'s query set Q and conditioning
+    set P, or None for a set the kind does not read (Table-1 wiring).
+
+    Q is the held-out rare exemplars, or the labeled ID points in ``ood``.
+    P is the labeled set, or for the kinds that also read Q in ``ood``
+    the labeled OOD points.
+    """
+    ood = scenario == "ood"
+    q = ("labeled_id" if ood else "rare_query") if kind in READS_Q else None
+    p = ("labeled_ood" if ood and q else "labeled") if kind in READS_P else None
+    return q, p
 
 
 @dataclass(frozen=True)
@@ -135,7 +111,6 @@ class RunConfig:
     optimizer: OptimizerConfig = OptimizerConfig()
     model: ModelConfig = ModelConfig()
     function: FunctionConfig = FunctionConfig()
-    acquisition: dict | None = None  # optional query/conditioning override
     seed: int = 0
     test_per_class: int = 500
     output_dir: str | None = None
@@ -159,6 +134,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunConfig":
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"config must be a mapping of fields, got {payload!r}")
         payload = dict(payload)
         for key, sub in (("optimizer", OptimizerConfig), ("model", ModelConfig), ("function", FunctionConfig)):
             if key in payload:
@@ -182,7 +159,10 @@ def _from_fields(cls, params, what: str, **defaults):
     unknown = set(params) - set(cls.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
-    return cls(**{**defaults, **params})
+    try:
+        return cls(**{**defaults, **params})
+    except (TypeError, AttributeError) as exc:  # a value of the wrong type
+        raise ValueError(f"bad {what} value: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -347,42 +327,20 @@ def _submodular_select(
     rnd: int,
 ):
     kind = config.method
-    acq = (
-        AcquisitionSpec(kind=kind, **config.acquisition)
-        if config.acquisition
-        else default_acquisition(config.scenario, kind)
-    )
+    q_field, p_field = table1_fields(config.scenario, kind)
+    if q_field and len(getattr(split, q_field)) == 0:
+        name = q_field.replace("_", " ")
+        raise ValueError(f"{kind} needs a query set, but the split's {name} set is empty")
     pool = np.sort(split.unlabeled)
     x_pool = split.features[pool]
     emb_u = gradient_embeddings(model, x_pool, hypothesized_labels(model, x_pool))
-
-    emb_q = None
-    if acq.query_source == "rare_set":
-        if len(split.rare_query) == 0:
-            raise ValueError(f"{kind} asks for the rare query set but the split has none")
-        emb_q = _embed(model, split, guard, split.rare_query)
-    elif acq.query_source == "labeled_id":
-        if len(split.labeled_id) == 0:
-            raise ValueError(f"{kind} asks for labeled ID points but the split has none")
-        emb_q = _embed(model, split, guard, split.labeled_id)
-
-    emb_p = None
-    if acq.conditioning_source == "labeled":
-        emb_p = _embed(model, split, guard, split.labeled)
-    elif acq.conditioning_source == "labeled_ood":
-        idx = split.labeled_ood
-        emb_p = (
-            _embed(model, split, guard, idx)
-            if len(idx)
-            else np.zeros((0, emb_u.shape[1]))
-        )
-
-    fn_kwargs = dict(
-        gc_lambda=config.function.gc_lambda,
-        eta=config.function.eta,
-    )
-    if config.function.eps is not None:
-        fn_kwargs["eps"] = config.function.eps
+    # Rank-(D+1) factors of the query and conditioning sets; an empty
+    # set (labeled_ood before any OOD pick) gives zero rows.
+    side_factors = {
+        block: sim.cosine_factors(_embed(model, split, guard, getattr(split, name)))
+        for block, name in (("uq", q_field), ("up", p_field))
+        if name
+    }
 
     # Chunks differ only in their ground set; the summary reports the pool.
     metadata = {}
@@ -392,11 +350,8 @@ def _submodular_select(
         # conditioning kernels, never a dense n x n or |P| x |P| block;
         # None is the whole pool.
         fu = sim.cosine_factors(emb_u if local_ids is None else emb_u[local_ids])
-        blocks = {"uu": sim.FactoredKernel(fu)}
-        for name, emb in (("uq", emb_q), ("up", emb_p)):
-            if emb is not None:
-                blocks[name] = sim.FactoredKernel(fu, sim.cosine_factors(emb))
-        f = InfoFunction(kind=kind, **blocks, **fn_kwargs)
+        blocks = {name: sim.FactoredKernel(fu, fs) for name, fs in side_factors.items()}
+        f = InfoFunction(kind=kind, uu=sim.FactoredKernel(fu), **blocks, **asdict(config.function))
         metadata.update(f.metadata, ground_size=len(pool))
         return f
 
@@ -407,7 +362,6 @@ def _submodular_select(
         epsilon=config.optimizer.sg_epsilon,
         seed=_derive(config.seed, 2, rnd),
         partitions=p,
-        stop_on_negative=config.optimizer.stop_on_negative,
     )
     try:
         if p == 1:
@@ -447,12 +401,7 @@ def run_al(
         model = train(
             split.features[split.labeled],
             train_labels,
-            TrainConfig(
-                learning_rate=config.model.learning_rate,
-                epochs=config.model.epochs,
-                l2=config.model.l2,
-                seed=_derive(config.seed, 1, rnd),
-            ),
+            TrainConfig(**asdict(config.model), seed=_derive(config.seed, 1, rnd)),
             num_classes=split.num_model_classes,
         )
         if config.method in sc.BASELINES:

@@ -26,9 +26,6 @@ from .surrogate import SurrogateModel, uncertainty
 
 BASELINES = ("random", "entropy", "margin", "least_confidence")
 
-QUERY_SOURCES = ("none", "rare_set", "labeled_id", "full_unlabeled")
-CONDITIONING_SOURCES = ("none", "labeled", "labeled_ood")
-
 
 def _no_indices() -> np.ndarray:
     return np.array([], dtype=np.intp)

@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 
 from submodal import similarity
 from submodal.cli import cli_main
-from submodal.functions import NumericalError
+from submodal.functions import ALL_KINDS, NumericalError
 from submodal.harness import (
-    AcquisitionSpec,
+    SCENARIOS,
     LabelGuard,
     OptimizerConfig,
     RunConfig,
     _resolve_partitions,
     _resolve_variant,
     build_scenario,
-    default_acquisition,
     penalty_matrix,
     run_al,
+    table1_fields,
 )
 
 TINY_RARE = {
@@ -92,30 +92,45 @@ class TestResolveVariant:
         assert [r.variant for r in res.records] == ["naive"]
 
 
-class TestAcquisitionSpec:
-    def test_scg_requires_conditioning(self):
-        with pytest.raises(ValueError, match="conditioning"):
-            AcquisitionSpec(kind="flcg", query_source="full_unlabeled")
+# Table 1: the split fields feeding each kind's query set Q and
+# conditioning set P, written out kind by kind.
+_WIRING = {
+    "fl": (None, None),
+    "gc": (None, None),
+    "logdet": (None, None),
+    "flvmi": ("rare_query", None),
+    "flqmi": ("rare_query", None),
+    "gcmi": ("rare_query", None),
+    "logdetmi": ("rare_query", None),
+    "div_gcmi": ("rare_query", None),
+    "flcg": (None, "labeled"),
+    "gccg": (None, "labeled"),
+    "logdetcg": (None, "labeled"),
+    "flcmi": ("rare_query", "labeled"),
+    "logdetcmi": ("rare_query", "labeled"),
+}
+_OOD_WIRING = {
+    "fl": (None, None),
+    "gc": (None, None),
+    "logdet": (None, None),
+    "flvmi": ("labeled_id", None),
+    "flqmi": ("labeled_id", None),
+    "gcmi": ("labeled_id", None),
+    "logdetmi": ("labeled_id", None),
+    "div_gcmi": ("labeled_id", None),
+    "flcg": (None, "labeled"),
+    "gccg": (None, "labeled"),
+    "logdetcg": (None, "labeled"),
+    "flcmi": ("labeled_id", "labeled_ood"),
+    "logdetcmi": ("labeled_id", "labeled_ood"),
+}
 
-    def test_scg_query_must_be_full_unlabeled_or_none(self):
-        with pytest.raises(ValueError, match="full unlabeled"):
-            AcquisitionSpec(kind="flcg", query_source="rare_set", conditioning_source="labeled")
 
-    def test_smi_needs_proper_query(self):
-        with pytest.raises(ValueError, match="query"):
-            AcquisitionSpec(kind="flqmi", query_source="full_unlabeled")
-
-    def test_sf_takes_no_conditioning(self):
-        with pytest.raises(ValueError):
-            AcquisitionSpec(kind="fl", query_source="none", conditioning_source="labeled")
-
-    def test_default_wiring_matches_scenarios(self):
-        assert default_acquisition("rare", "flqmi").query_source == "rare_set"
-        assert default_acquisition("ood", "flqmi").query_source == "labeled_id"
-        scg = default_acquisition("redundancy", "logdetcg")
-        assert scg.conditioning_source == "labeled"
-        cmi = default_acquisition("ood", "flcmi")
-        assert (cmi.query_source, cmi.conditioning_source) == ("labeled_id", "labeled_ood")
+def test_table1_wiring_pinned_for_every_scenario_and_kind():
+    assert set(SCENARIOS) == {"standard", "rare", "redundancy", "ood"}
+    for scenario in SCENARIOS:
+        expected = _OOD_WIRING if scenario == "ood" else _WIRING
+        assert {kind: table1_fields(scenario, kind) for kind in ALL_KINDS} == expected, scenario
 
 
 class TestLabelGuard:
@@ -572,6 +587,12 @@ class TestConfigSections:
             ["--function", "flqmi", "--set", "optimizer=3"],
             ["--function", "random", "--set", "optimizer=3"],
             ["--function", "flqmi", "--partitions", "-3"],
+            ["--function", "random", "--set", "rounds.x=1"],
+            ["--function", "random", "--rounds", "2", "--set", "rounds.x=1"],
+            ["--function", "random", "--set", 'budget="abc"'],
+            ["--function", "random", "--set", "optimizer.variant=bogus"],
+            ["--function", "random", "--set", "model.epochs=-1"],
+            ["--function", "random", "--set", "acquisition={}"],
         ],
     )
     def test_bad_section_exits_two_before_running(self, flags, monkeypatch, tmp_path, capsys):
@@ -583,6 +604,18 @@ class TestConfigSections:
         assert rc == 2
         assert calls == []
         assert "config error" in capsys.readouterr().err
+
+    def test_config_file_that_is_no_mapping_exits_two(self, monkeypatch, tmp_path, capsys):
+        import submodal.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli.hn, "run_al", lambda *a, **k: calls.append(a))
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        rc = cli_main(["run", "--config", str(path), "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert calls == []
+        assert "not a mapping" in capsys.readouterr().err
 
 
 def test_sweep_with_one_seed_exits_two_before_any_run(monkeypatch, tmp_path):
