@@ -1,14 +1,13 @@
-"""Command-line front end: run, sweep, verify.
+"""Command-line front end: run, sweep.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure (singular
-kernel), 4 verification failure.
+kernel).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -16,15 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import functions as fn
-from . import greedy as gr
 from . import harness as hn
-from . import similarity as sim
-from . import surrogate as sg
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-EXIT_VERIFY = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--metric", choices=["accuracy", "rare_accuracy"], default="accuracy")
     sweep.add_argument("--alpha", type=float, default=0.05)
     sweep.add_argument("--jobs", type=int, default=1)
-
-    sub.add_parser("verify", help="brute-force oracle suites; exit 0 iff all pass")
 
     return parser
 
@@ -208,162 +201,21 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verify: compact brute-force suites (CI gate)
-# ---------------------------------------------------------------------------
-
-
-def _verify_oracle_identities(rng) -> tuple[bool, str]:
-    from itertools import combinations
-
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(6, 9))
-        joint = sim.cosine_block(rng.standard_normal((n, 6)))
-        perm = rng.permutation(n)
-        q = sorted(int(i) for i in perm[:2])
-        p = sorted(int(i) for i in perm[2:4])
-        u_sel = [i for i in range(n) if i not in q and i not in p]
-        oracles = {
-            "fl": fn.GroundTruthOracle("fl", joint),
-            "gc": fn.GroundTruthOracle("gc", joint),
-            "logdet": fn.GroundTruthOracle("logdet", joint, eps=1e-2),
-        }
-        cases = [
-            ("flvmi", lambda A: oracles["fl"].smi(A, q), dict(query=q)),
-            ("gcmi", lambda A: oracles["gc"].smi(A, q), dict(query=q)),
-            ("logdetmi", lambda A: oracles["logdet"].smi(A, q), dict(query=q)),
-            ("flcg", lambda A: oracles["fl"].scg(A, p), dict(conditioning=p)),
-            ("gccg", lambda A: oracles["gc"].scg(A, p), dict(conditioning=p)),
-            ("logdetcg", lambda A: oracles["logdet"].scg(A, p), dict(conditioning=p)),
-            ("flcmi", lambda A: oracles["fl"].scmi(A, q, p), dict(query=q, conditioning=p)),
-            ("logdetcmi", lambda A: oracles["logdet"].scmi(A, q, p), dict(query=q, conditioning=p)),
-        ]
-        for kind, oracle, kw in cases:
-            f = fn.from_joint(kind, joint, **kw)
-            for r in range(len(u_sel) + 1):
-                for A in combinations(u_sel, r):
-                    ref = oracle(list(A))
-                    got = fn.evaluate(f, A)
-                    tol = 1e-6 * max(1.0, abs(ref)) if kind.startswith("logdet") else 1e-9
-                    worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
-                    if abs(got - ref) > tol:
-                        return False, f"{kind} deviates by {abs(got - ref):.2e} at A={A}"
-    return True, f"worst relative deviation {worst:.2e}"
-
-
-def _verify_reductions(rng) -> tuple[bool, str]:
-    from itertools import combinations
-
-    joint = sim.cosine_block(rng.standard_normal((6, 6)))
-    q = [4, 5]
-    pairs = [
-        (fn.from_joint("flcmi", joint, query=q, conditioning=[]), fn.from_joint("flvmi", joint, query=q)),
-        (fn.from_joint("flcmi", joint, query=list(range(6)), conditioning=q), fn.from_joint("flcg", joint, conditioning=q)),
-        (
-            fn.from_joint("logdetcmi", joint, query=q, conditioning=[]),
-            fn.from_joint("logdetmi", joint, query=q),
-        ),
-    ]
-    for a, b in pairs:
-        for r in range(5):
-            for A in combinations(range(4), r):
-                va, vb = fn.evaluate(a, A), fn.evaluate(b, A)
-                if abs(va - vb) > 1e-6 * max(1.0, abs(vb)):
-                    return False, f"{a.kind}->{b.kind} deviates by {abs(va - vb):.2e}"
-    return True, "flcmi/logdetcmi reduce to their SMI/SCG/SF forms"
-
-
-def _verify_greedy(rng) -> tuple[bool, str]:
-    bound = 1.0 - 1.0 / math.e
-    for t in range(20):
-        joint = sim.cosine_block(rng.standard_normal((12, 6)))
-        f = fn.from_joint("flvmi", joint, query=[10, 11])
-        naive = gr.greedy_select(f, gr.GreedyConfig(budget=3, variant="naive"))
-        lazy = gr.greedy_select(f, gr.GreedyConfig(budget=3, variant="lazy"))
-        if naive.chosen != lazy.chosen or naive.gains != lazy.gains:
-            return False, f"lazy diverged from naive on instance {t}"
-        opt = gr.exhaustive_opt(f, 3)
-        if naive.value < bound * opt.value:
-            return False, f"greedy below (1-1/e) bound on instance {t}"
-    return True, "naive==lazy and (1-1/e) bound on 20 instances"
-
-
-def _verify_gradients(rng) -> tuple[bool, str]:
-    x = rng.standard_normal((30, 5))
-    y = rng.integers(0, 3, size=30)
-    model = sg.train(x, y, sg.TrainConfig(epochs=50, seed=1), num_classes=3)
-    emb = sg.gradient_embeddings(model, x[:5], y[:5])
-    step = 1e-6
-    for i in range(5):
-        num = np.zeros_like(model.weights)
-        for a in range(model.weights.shape[0]):
-            for b in range(model.weights.shape[1]):
-                wp, wm = model.weights.copy(), model.weights.copy()
-                wp[a, b] += step
-                wm[a, b] -= step
-                mp = sg.SurrogateModel(wp, model.num_classes, model.config)
-                mm = sg.SurrogateModel(wm, model.num_classes, model.config)
-                lp = -np.log(sg.predict_proba(mp, x[i : i + 1])[0, y[i]])
-                lm = -np.log(sg.predict_proba(mm, x[i : i + 1])[0, y[i]])
-                num[a, b] = (lp - lm) / (2 * step)
-        rel = np.abs(emb[i] - num.ravel()) / np.maximum(np.abs(num.ravel()), 1e-8)
-        if rel.max() > 1e-4:
-            return False, f"gradient mismatch {rel.max():.2e} on point {i}"
-    return True, "last-layer gradients match central differences"
-
-
-def _verify_penalty(rng) -> tuple[bool, str]:
-    up = np.array([[0.9, 0.92], [0.91, 0.93], [0.9, 0.92]])
-    down = up - 0.1
-    pm = hn.penalty_matrix({"a": up, "b": down}, alpha=0.05)
-    expected = np.array([[0.0, 1.0], [0.0, 0.0]])
-    if not np.allclose(pm.matrix, expected, atol=1e-12):
-        return False, f"penalty fixture mismatch: {pm.matrix.tolist()}"
-    same = hn.penalty_matrix({"a": up, "b": up})
-    if same.matrix.any():
-        return False, "identical traces produced nonzero penalties"
-    return True, "penalty matrix matches hand fixture"
-
-
-def _cmd_verify(_) -> int:
-    rng = np.random.default_rng(2024)
-    checks = [
-        ("oracle-identities", _verify_oracle_identities),
-        ("table1-reductions", _verify_reductions),
-        ("greedy-bound", _verify_greedy),
-        ("gradient-fd", _verify_gradients),
-        ("penalty-matrix", _verify_penalty),
-    ]
-    failed = 0
-    for name, check in checks:
-        ok, detail = check(rng)
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failed += 0 if ok else 1
-    return EXIT_OK if failed == 0 else EXIT_VERIFY
-
-
 def cli_main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = {"run": _cmd_run, "sweep": _cmd_sweep}[args.command]
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command!r}")
+        return command(args)
     except fn.NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_OK
 
 
 def main() -> None:

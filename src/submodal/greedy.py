@@ -42,7 +42,6 @@ class GreedyConfig:
     epsilon: float = 0.01
     seed: int = 0
     partitions: int = 1
-    stop_on_negative: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -108,10 +107,8 @@ def greedy_select(f: InfoFunction, cfg: GreedyConfig) -> SelectionResult:
         heap = [(-float(g), int(x), 0) for x, g in enumerate(init)]
         heapq.heapify(heap)
         while heap and len(state.chosen) < budget:
-            neg, x, fresh_at = heapq.heappop(heap)
+            _, x, fresh_at = heapq.heappop(heap)
             if fresh_at == len(state.chosen):
-                if cfg.stop_on_negative and -neg < 0.0:
-                    break
                 gains.append(state.commit(x))
             else:
                 evals += 1
@@ -127,8 +124,6 @@ def greedy_select(f: InfoFunction, cfg: GreedyConfig) -> SelectionResult:
             step = state.gains(cands)
             evals += len(cands)
             best = int(np.argmax(step))
-            if cfg.stop_on_negative and step[best] < 0.0:
-                break
             gains.append(state.commit(int(cands[best])))
 
     return SelectionResult(

@@ -122,6 +122,8 @@ class RunConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
+        if self.test_per_class < 1:
+            raise ValueError(f"test_per_class must be >= 1, got {self.test_per_class}")
         method = self.method.strip().lower().replace("-", "_")
         if method not in sc.BASELINES:
             method = canonical_kind(method)

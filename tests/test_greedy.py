@@ -103,16 +103,6 @@ class TestGreedySelect:
         assert a.value == b.value
         assert a.evaluations == b.evaluations
 
-    def test_stop_on_negative_halts_early(self, rng):
-        joint = rescaled_cosine(rng, 8)
-        f = from_joint("gccg", joint, conditioning=[6, 7])
-        free = greedy_select(f, GreedyConfig(budget=6, variant="naive"))
-        halted = greedy_select(
-            f, GreedyConfig(budget=6, variant="naive", stop_on_negative=True)
-        )
-        assert len(free.chosen) == 6
-        assert len(halted.chosen) < 6
-
 
 class TestExhaustive:
     def test_modular_top_budget(self):

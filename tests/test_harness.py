@@ -507,16 +507,8 @@ class TestCli:
         assert "logdetmi is not submodular" in capsys.readouterr().err
         assert not (tmp_path / "records.jsonl").exists()
 
-    def test_verify_passes_on_fresh_checkout(self, capsys):
-        assert cli_main(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 5 and "FAIL" not in out
-
-    def test_verify_failure_exits_four(self, monkeypatch):
-        import submodal.cli as cli
-
-        monkeypatch.setattr(cli, "_verify_penalty", lambda rng: (False, "forced"))
-        assert cli_main(["verify"]) == 4
+    def test_verify_is_no_command(self):
+        assert cli_main(["verify"]) == 2
 
     def test_sweep_produces_penalty_csv(self, tmp_path):
         rc = cli_main(
@@ -593,6 +585,7 @@ class TestConfigSections:
             ["--function", "random", "--set", "optimizer.variant=bogus"],
             ["--function", "random", "--set", "model.epochs=-1"],
             ["--function", "random", "--set", "acquisition={}"],
+            ["--function", "random", "--set", "test_per_class=0"],
         ],
     )
     def test_bad_section_exits_two_before_running(self, flags, monkeypatch, tmp_path, capsys):
