@@ -33,7 +33,11 @@ coverage c_i(s) = max(min(s, q_i) - p_i, 0), q_i = max_Q S_i (no min
 without Q) and p_i = max_P S_i (no shift without P).  ``InfoFunction``
 builds the coverage block cov[x, i] = c_i(S_xi) once, keeping only the
 columns with q_i > p_i (c_i is identically 0 on the others); gains,
-commits and ``evaluate`` read nothing else.
+commits and ``evaluate`` read nothing else.  A block built from factors
+whose float64 form would exceed ``_FLOAT64_BLOCK_BYTES`` is stored in
+float32 (each entry the float64 value rounded once); the running maxima,
+gains and sums stay float64, so the float32 entries upcast exactly.
+Dense input keeps a float64 block at every size.
 
 Every kind also runs on rank-(D+1) factors (``FactoredKernel`` uu, uq
 and up), as the harness builds them, and never forms an n x n block:
@@ -108,6 +112,14 @@ _PIVOT_FLOOR = 1e-12
 # while still in cache.  Smaller blocks measured slower, larger no faster.
 _BLOCK_ROWS = 256
 
+# A factored coverage block whose float64 form would exceed this many bytes
+# is stored in float32.  Below it the block is no larger than the rest of a
+# run's footprint (265 and 252 MiB peak on the log-det workloads), and
+# float64 keeps small factored blocks bit-equal to the dense reference.
+# Above it float32 halves the largest array of a run: 14000 points with
+# every column kept are 1.5 GB in float64.
+_FLOAT64_BLOCK_BYTES = 256 << 20
+
 
 class NumericalError(RuntimeError):
     """Raised when a kernel block is numerically singular."""
@@ -156,8 +168,10 @@ class InfoFunction:
     ``uu``, ``uq`` and ``up`` may instead be ``FactoredKernel``s sharing
     the U factor (``uu = FactoredKernel(F_U)``, ``uq = FactoredKernel(F_U,
     F_Q)``, ...); no kind then forms an n x n block, the facility-location
-    kinds form only their pruned coverage block, and flqmi/gcmi keep a
-    dense cut of ``uq``.  ``qq``, ``pp`` and ``qp`` are never factored.
+    kinds form only their pruned coverage block (float32 above
+    ``_FLOAT64_BLOCK_BYTES``, float64 below it and on dense input), and
+    flqmi/gcmi keep a dense cut of ``uq``.  ``qq``, ``pp`` and ``qp`` are
+    never factored.
     Alongside a dense ``uu`` each one a kind reads is required (unless
     its set is empty); alongside a factored ``uu`` none may be given:
     Q and P are read from the factors of ``uq``/``up`` alone (see
@@ -259,6 +273,11 @@ class InfoFunction:
         return self.uu.shape[0] if self.uu is not None else self.uq.shape[0]
 
     @property
+    def block_bytes(self) -> int:
+        """Bytes of the coverage block (0 for kinds without one)."""
+        return 0 if self._cov is None else self._cov.nbytes
+
+    @property
     def metadata(self) -> dict:
         meta = {
             "kind": self.kind,
@@ -349,7 +368,9 @@ def _coverage_block(f: InfoFunction) -> np.ndarray:
     Filled in row blocks: one GEMM from the factors (or a cut of the dense
     block) into the output rows, then the transform in place.  The pinned
     unit diagonal of a factored uu is set by index.  The clamp at 0 matches
-    the state's zero-initialized maxima.
+    the state's zero-initialized maxima.  A float32 block (factored, above
+    ``_FLOAT64_BLOCK_BYTES``) runs the same float64 steps in one reused
+    staging buffer of ``_BLOCK_ROWS`` rows; the clamp stores into the block.
     """
     n = f.n
     q = _row_max(f.uq) if f.kind in ("flvmi", "flcmi") else None
@@ -363,10 +384,12 @@ def _coverage_block(f: InfoFunction) -> np.ndarray:
     if factored:
         # All kept: the transposed view has the layout of the gathered copy.
         cols = f.uu.left.T if keep.size == n else f.uu.left[keep].T
-    cov = np.empty((n, keep.size))
+    wide = factored and n * keep.size * 8 > _FLOAT64_BLOCK_BYTES
+    cov = np.empty((n, keep.size), dtype=np.float32 if wide else np.float64)
+    stage = np.empty((min(n, _BLOCK_ROWS), keep.size)) if wide else None
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(n, lo + _BLOCK_ROWS)
-        blk = cov[lo:hi]
+        blk = stage[: hi - lo] if wide else cov[lo:hi]
         if factored:
             np.matmul(f.uu.left[lo:hi], cols, out=blk)
             a, b = np.searchsorted(keep, (lo, hi))
@@ -377,7 +400,7 @@ def _coverage_block(f: InfoFunction) -> np.ndarray:
             np.minimum(blk, q, out=blk)
         if p is not None:
             np.subtract(blk, p, out=blk)
-        np.maximum(blk, 0.0, out=blk)
+        np.maximum(blk, 0.0, out=cov[lo:hi])  # the cast on store, if any
     return cov
 
 
@@ -470,7 +493,7 @@ def evaluate(f: InfoFunction, selection: Sequence[int]) -> float:
     kind = f.kind
 
     if kind in FL_FAMILY:
-        covered = f._cov[A].max(axis=0).sum()
+        covered = f._cov[A].max(axis=0).sum(dtype=np.float64)
         if kind == "div_gcmi":
             return float(2.0 * f.gc_lambda * _cut(f.uq, A).sum() + f.eta * covered)
         return float(covered)
@@ -727,13 +750,18 @@ class SelectionState:
         Facility-location gains are pointwise rises of the coverage maxima
         summed, which keeps them a pure function of those maxima and
         numerically nonincreasing as the selection grows (both needed for
-        the lazy and naive variants to agree bit for bit).
+        the lazy and naive variants to agree bit for bit).  The rises are
+        float64 even on a float32 block: its row upcasts exactly against
+        the float64 maxima.
         """
         if self._mask[x]:
             raise ValueError(f"index {x} already selected")
         kind = self.f.kind
         if kind in FL_FAMILY:
-            rise = self.f._cov[x] - self._covered
+            # Upcast first: a mixed float32 - float64 ufunc ran about 30%
+            # slower than this copy and in-place subtract (same values).
+            rise = self.f._cov[x].astype(np.float64)
+            rise -= self._covered
             covered = np.maximum(rise, 0.0, out=rise).sum()
             if kind == "div_gcmi":
                 return float(self._w[x] + self.f.eta * covered)

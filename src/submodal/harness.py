@@ -182,6 +182,9 @@ class RoundRecord:
     evaluations: int | None  # marginal-gain evaluations; None for baselines
     variant: str | None  # greedy variant that ran; None for baselines
     pivot_floor_hits: int | None  # log-det pivots clamped to the floor; None for baselines
+    # Bytes of the largest coverage block built over all chunks (float32
+    # above functions._FLOAT64_BLOCK_BYTES); 0 without one, None for baselines.
+    block_bytes: int | None
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -294,7 +297,9 @@ def compute_metrics(
     }
 
 
-# Auto partitioning gives each FL chunk at most this many pool points.
+# Auto partitioning gives each FL chunk at most this many pool points.  A
+# chunk of 20000 with every column kept is a 1.6 GB coverage block (float32;
+# it would be 3.2 GB in float64).
 _CHUNK_TARGET = 20000
 
 
@@ -346,15 +351,18 @@ def _submodular_select(
 
     # Chunks differ only in their ground set; the summary reports the pool.
     metadata = {}
+    block_bytes = 0
 
     def make_function(local_ids: np.ndarray | None) -> InfoFunction:
         # Every kind gets rank-(D+1) factors of the pool, query and
         # conditioning kernels, never a dense n x n or |P| x |P| block;
         # None is the whole pool.
+        nonlocal block_bytes
         fu = sim.cosine_factors(emb_u if local_ids is None else emb_u[local_ids])
         blocks = {name: sim.FactoredKernel(fu, fs) for name, fs in side_factors.items()}
         f = InfoFunction(kind=kind, uu=sim.FactoredKernel(fu), **blocks, **asdict(config.function))
         metadata.update(f.metadata, ground_size=len(pool))
+        block_bytes = max(block_bytes, f.block_bytes)
         return f
 
     p = _resolve_partitions(config, kind, len(pool))
@@ -373,7 +381,7 @@ def _submodular_select(
     except NumericalError as exc:
         raise NumericalError(f"round {rnd}: {exc}") from exc
     selected = np.sort(pool[np.asarray(res.chosen, dtype=np.intp)])
-    return selected, res, gcfg.variant, metadata
+    return selected, res, gcfg.variant, metadata, block_bytes
 
 
 def run_al(
@@ -411,9 +419,9 @@ def run_al(
                 config.method, model, split, min(config.budget, len(split.unlabeled)),
                 seed=_derive(config.seed, 3, rnd),
             )
-            res = variant = None
+            res = variant = block_bytes = None
         else:
-            selected, res, variant, function_metadata = _submodular_select(
+            selected, res, variant, function_metadata, block_bytes = _submodular_select(
                 config, split, model, guard, rnd
             )
         guard.permit(selected)  # labels revealed for the batch
@@ -431,6 +439,7 @@ def run_al(
             evaluations=None if res is None else res.evaluations,
             variant=variant,
             pivot_floor_hits=None if res is None else res.pivot_floor_hits,
+            block_bytes=block_bytes,
             **metrics,
         )
         records.append(record)
@@ -445,6 +454,7 @@ def run_al(
         "guard_violations": guard.violations,
         "evaluations": sum(r.evaluations or 0 for r in records),
         "pivot_floor_hits": sum(r.pivot_floor_hits or 0 for r in records),
+        "block_bytes": max(r.block_bytes or 0 for r in records),
         "total_elapsed": time.perf_counter() - start,
     }
     if function_metadata is not None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from submodal import functions
 from submodal.functions import (
     ALL_KINDS,
     FL_FAMILY,
@@ -637,6 +638,51 @@ def test_all_kept_coverage_block_equals_the_gathered_form(rng):
     np.fill_diagonal(want, 1.0)
     np.maximum(want, 0.0, out=want)
     assert np.array_equal(f._cov, want)
+
+
+class TestFloat32CoverageBlock:
+    """A factored coverage block above ``_FLOAT64_BLOCK_BYTES`` is stored
+    in float32; the limit is patched to 0 so small pools take that path."""
+
+    @staticmethod
+    def pools(kind, rng, n=600):
+        # Q and P small enough that many columns are kept, across 3 row blocks.
+        return dense_and_factored(kind, *random_sets(rng, n, 6, 4, 2, 3))
+
+    @pytest.mark.parametrize("kind", sorted(FL_FAMILY))
+    def test_block_is_the_float64_block_rounded_once(self, kind, rng, monkeypatch):
+        u, q, p = random_sets(rng, 600, 6, 4, 2, 3)
+        want = dense_and_factored(kind, u, q, p)[1]._cov
+        assert want.dtype == np.float64
+        monkeypatch.setattr(functions, "_FLOAT64_BLOCK_BYTES", 0)
+        f = dense_and_factored(kind, u, q, p)[1]
+        assert f._cov.dtype == np.float32
+        assert f.block_bytes == want.nbytes // 2
+        assert np.array_equal(f._cov, want.astype(np.float32))
+
+    @pytest.mark.parametrize("kind", sorted(FL_FAMILY))
+    def test_commit_sequence_matches_evaluate(self, kind, rng, monkeypatch):
+        monkeypatch.setattr(functions, "_FLOAT64_BLOCK_BYTES", 0)
+        f = self.pools(kind, rng)[1]
+        state = new_state(f)
+        for x in rng.permutation(f.n).tolist():
+            state.commit(x)
+        assert abs(state.value - evaluate(f, state.chosen)) <= 1e-8
+
+    @pytest.mark.parametrize("kind", sorted(FL_FAMILY))
+    def test_lazy_and_naive_greedy_agree(self, kind, rng, monkeypatch):
+        monkeypatch.setattr(functions, "_FLOAT64_BLOCK_BYTES", 0)
+        f = self.pools(kind, rng)[1]
+        lazy = greedy_select(f, GreedyConfig(budget=60, variant="lazy"))
+        naive = greedy_select(f, GreedyConfig(budget=60, variant="naive"))
+        assert (lazy.chosen, lazy.gains) == (naive.chosen, naive.gains)
+
+    @pytest.mark.parametrize("kind", sorted(FL_FAMILY))
+    def test_dense_input_keeps_float64(self, kind, rng, monkeypatch):
+        monkeypatch.setattr(functions, "_FLOAT64_BLOCK_BYTES", 0)
+        f_dense = self.pools(kind, rng, n=40)[0]
+        assert f_dense._cov.dtype == np.float64
+        assert build(kind, rescaled_cosine(rng, 10), q=[8, 9], p=[6, 7])._cov.dtype == np.float64
 
 
 class TestFactorSpaceConditioning:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submodal import similarity
+from submodal import functions, similarity
 from submodal.cli import cli_main
 from submodal.functions import ALL_KINDS, NumericalError
 from submodal.harness import (
@@ -247,6 +247,22 @@ class TestRunAl:
         base = run_al(tiny_config(method="random"))
         assert {r.pivot_floor_hits for r in base.records} == {None}
         assert base.summary["pivot_floor_hits"] == 0
+
+    def test_records_report_the_coverage_block_bytes(self, monkeypatch):
+        # fl keeps every column, so each round's block is n x n for a pool of n.
+        cfg = tiny_config(method="fl")
+        split, _, _ = build_scenario(cfg)
+        pools = [len(split.unlabeled) - cfg.budget * r for r in range(cfg.rounds)]
+        res = run_al(cfg)
+        assert [r.block_bytes for r in res.records] == [n * n * 8 for n in pools]
+        assert res.summary["block_bytes"] == pools[0] ** 2 * 8
+        monkeypatch.setattr(functions, "_FLOAT64_BLOCK_BYTES", 0)
+        assert [r.block_bytes for r in run_al(cfg).records] == [n * n * 4 for n in pools]
+        logdet = run_al(tiny_config(method="logdet"))
+        assert [r.block_bytes for r in logdet.records] == [0, 0]
+        assert logdet.summary["block_bytes"] == 0
+        base = run_al(tiny_config(method="random"))
+        assert {r.block_bytes for r in base.records} == {None}
 
     def test_reproducible_records_modulo_timing(self):
         cfg = tiny_config(method="logdetmi", seed=31)
