@@ -46,8 +46,11 @@ row sums F (F_X^T 1) and one kernel row per commit, and flqmi/gcmi cut
 their small dense n x |Q| block from the factors.  On factors the log-det
 kinds condition on Q and P from F_Q and F_P alone (qq, pp and qp are not
 given): each set becomes a correction W of at most D+1 rows, and no
-|X| x |X| block is formed above that rank.  Dense blocks remain the
-reference input of ``from_joint``.
+|X| x |X| block is formed above that rank.  A pool factor that carries
+Khatri-Rao parts (``khatri_rao_factors``, as the harness builds it) lets
+each log-det commit read the parts instead of F (see
+``_FactoredShiftedKernel``).  Dense blocks remain the reference input of
+``from_joint``.
 
 A ``SelectionState`` memoizes whatever its kind needs (running coverage
 maxima for the facility-location family, incremental Cholesky factors
@@ -374,7 +377,8 @@ def _coverage_block(f: InfoFunction) -> np.ndarray:
     """
     n = f.n
     q = _row_max(f.uq) if f.kind in ("flvmi", "flcmi") else None
-    p = _row_max(f.up) if f.kind in ("flcg", "flcmi") else None
+    # An empty P shifts by 0: skip the subtraction, the block is the same.
+    p = _row_max(f.up) if f.kind in ("flcg", "flcmi") and f.up.shape[1] else None
     top = np.full(n, np.inf) if q is None else q
     keep = np.flatnonzero(top > (0.0 if p is None else p))
     q = None if q is None else q[keep]
@@ -629,10 +633,16 @@ class _FactoredShiftedKernel:
     ``col(j)`` = F_j - W^T (W F_j).  That drops eps e_j and the pinned
     unit diagonal, which touch only row j; diag() carries them, and once
     j is committed its row is never read again.
+
+    On a Khatri-Rao factor F = [1, R outer X] / sqrt(2) (``uu.parts`` =
+    (R, X), n x C and n x (d+1)), ``expand`` reads the parts instead of F:
+    F a = (a_0 + rowsum((X A^T) * R)) / sqrt(2) with A = a[1:] as C x (d+1),
+    C + d + 1 values per point instead of C (d+1) + 1.
     """
 
     def __init__(self, uu: FactoredKernel, eps: float, w=None):
         self.f = uu.left
+        self.parts = uu.parts
         self.eps = eps
         self.w = w
         self.rank = self.f.shape[1]
@@ -652,7 +662,14 @@ class _FactoredShiftedKernel:
         return self.f[j] @ coords
 
     def expand(self, coords: np.ndarray) -> np.ndarray:
-        return self.f @ coords
+        if self.parts is None:
+            return self.f @ coords
+        r, x = self.parts
+        t = x @ coords[1:].reshape(r.shape[1], x.shape[1]).T
+        out = np.einsum("ij,ij->i", t, r)
+        out += coords[0]
+        out *= math.sqrt(0.5)
+        return out
 
 
 def _hstack_cross(uq, up):

@@ -37,6 +37,7 @@ from .surrogate import (
     SurrogateModel,
     TrainConfig,
     gradient_embeddings,
+    gradient_parts,
     hypothesized_labels,
     predict_proba,
     train,
@@ -340,7 +341,9 @@ def _submodular_select(
         raise ValueError(f"{kind} needs a query set, but the split's {name} set is empty")
     pool = np.sort(split.unlabeled)
     x_pool = split.features[pool]
-    emb_u = gradient_embeddings(model, x_pool, hypothesized_labels(model, x_pool))
+    # The pool's gradients stay in their two parts: its factor is built
+    # from them, never from the n x C(d+1) embedding.
+    resid, xb = gradient_parts(model, x_pool, hypothesized_labels(model, x_pool))
     # Rank-(D+1) factors of the query and conditioning sets; an empty
     # set (labeled_ood before any OOD pick) gives zero rows.
     side_factors = {
@@ -358,9 +361,10 @@ def _submodular_select(
         # conditioning kernels, never a dense n x n or |P| x |P| block;
         # None is the whole pool.
         nonlocal block_bytes
-        fu = sim.cosine_factors(emb_u if local_ids is None else emb_u[local_ids])
-        blocks = {name: sim.FactoredKernel(fu, fs) for name, fs in side_factors.items()}
-        f = InfoFunction(kind=kind, uu=sim.FactoredKernel(fu), **blocks, **asdict(config.function))
+        ids = slice(None) if local_ids is None else local_ids
+        uu = sim.khatri_rao_factors(resid[ids], xb[ids])
+        blocks = {name: sim.FactoredKernel(uu.left, fs) for name, fs in side_factors.items()}
+        f = InfoFunction(kind=kind, uu=uu, **blocks, **asdict(config.function))
         metadata.update(f.metadata, ground_size=len(pool))
         block_bytes = max(block_bytes, f.block_bytes)
         return f

@@ -6,13 +6,19 @@ s -> (1 + s) / 2, which keeps square kernels positive semidefinite
 and a Gram matrix) and keeps every downstream formula that assumes
 nonnegative similarities well behaved.  The same convex combination
 gives every block a factorization F_a F_b^T with F = [1, a_hat] / sqrt(2)
-of rank D + 1, which the log-determinant family uses instead of an
-n x n block.
+of rank D + 1, which every function kind uses instead of an n x n block.
+
+A BADGE gradient embedding g = r outer x (residual r = p - e_y over C
+classes, biased input x = [x; 1]) has cos(g_i, g_j) = cos(r_i, r_j)
+cos(x_i, x_j), so its factor is F = [1, r_hat outer x_hat] / sqrt(2) in
+Khatri-Rao form.  ``khatri_rao_factors`` builds F from the two parts,
+without the n x C(d+1) embedding, and keeps the parts beside it: a
+product F a then reads C + d + 1 values per row instead of C(d+1) + 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -177,16 +183,48 @@ def cosine_factors(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def khatri_rao_factors(resid: np.ndarray, xb: np.ndarray) -> "FactoredKernel":
+    """Square ``FactoredKernel`` of the rescaled cosine kernel over the rows
+    g_i = resid_i outer xb_i, built from the two parts.
+
+    The cosine of two such rows is the product of the cosines of their
+    parts, so ``left`` = [1, r_hat outer x_hat] / sqrt(2), with r_hat and
+    x_hat the unit rows of the parts.  It equals
+    ``cosine_factors(g)`` up to rounding and is written straight into its
+    output, with no n x C(d+1) temporary.  The kernel also carries
+    ``parts = (r_hat, x_hat)``, so a product ``left @ a`` can read
+    C + d + 1 values per row instead of C(d+1) + 1.  A zero row in either
+    part is a zero row of g and raises as in ``cosine_factors``.
+    """
+    r = EmbeddingMatrix.from_array(resid)
+    x = EmbeddingMatrix.from_array(xb)
+    if r.rows != x.rows:
+        raise ValueError(f"parts must align: {r.rows} vs {x.rows} rows")
+    rn, xn = _row_norms(r), _row_norms(x)
+    r_hat = r.data / rn[:, None]
+    x_hat = x.data / xn[:, None]
+    n, c, d1 = r.rows, r.dim, x.dim
+    out = np.empty((n, 1 + c * d1))
+    out[:, 0] = np.sqrt(0.5)
+    np.multiply(
+        (r_hat * np.sqrt(0.5))[:, :, None], x_hat[:, None, :], out=out[:, 1:].reshape(n, c, d1)
+    )
+    return FactoredKernel(out, parts=(r_hat, x_hat))
+
+
 @dataclass(frozen=True)
 class FactoredKernel:
     """Kernel block held as factors, ``left @ right.T``, never materialized.
 
     ``right=None`` marks the square symmetric block of ``left`` with
     itself; its diagonal is pinned to exactly 1, as in ``cosine_kernel``.
+    ``parts`` is set by ``khatri_rao_factors`` only: the unit rows
+    ``(r_hat, x_hat)`` whose per-row outer product makes up ``left[:, 1:]``.
     """
 
     left: np.ndarray
     right: np.ndarray | None = None
+    parts: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("left", "right"):
@@ -200,6 +238,13 @@ class FactoredKernel:
             raise ValueError(
                 f"factor rank mismatch: {self.left.shape[1]} vs {self.right.shape[1]}"
             )
+        if self.parts is not None:
+            r_hat, x_hat = self.parts
+            want = (r_hat.shape[0], 1 + r_hat.shape[1] * x_hat.shape[1])
+            if self.right is not None or self.left.shape != want:
+                raise ValueError(
+                    f"parts of shape {want} do not make up the factor {self.left.shape}"
+                )
 
     @property
     def symmetric(self) -> bool:

@@ -129,6 +129,26 @@ def hypothesized_labels(model: SurrogateModel, features: np.ndarray) -> np.ndarr
     return np.argmax(predict_proba(model, features), axis=1)
 
 
+def gradient_parts(
+    model: SurrogateModel,
+    features: np.ndarray,
+    labels: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two factors of each point's last-layer gradient: the residual
+    p_i - e_{y_i} (n x C) and the biased input [x_i; 1] (n x (d+1)).
+
+    Their per-row outer product is ``gradient_embeddings``; a kernel on
+    the embedding can be built from the parts without forming it.
+    """
+    probs = predict_proba(model, features)
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape != (probs.shape[0],):
+        raise ValueError("labels must align with feature rows")
+    resid = probs.copy()
+    resid[np.arange(len(labels)), labels] -= 1.0
+    return resid, _with_bias(np.asarray(features, dtype=np.float64))
+
+
 def gradient_embeddings(
     model: SurrogateModel,
     features: np.ndarray,
@@ -141,15 +161,9 @@ def gradient_embeddings(
     Pass true labels for labeled points and hypothesized labels for
     unlabeled ones.
     """
-    probs = predict_proba(model, features)
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape != (probs.shape[0],):
-        raise ValueError("labels must align with feature rows")
-    resid = probs.copy()
-    resid[np.arange(len(labels)), labels] -= 1.0
-    xb = _with_bias(np.asarray(features, dtype=np.float64))
+    resid, xb = gradient_parts(model, features, labels)
     emb = resid[:, :, None] * xb[:, None, :]
-    return emb.reshape(len(labels), model.num_classes * xb.shape[1])
+    return emb.reshape(len(resid), model.num_classes * xb.shape[1])
 
 
 def uncertainty(model: SurrogateModel, features: np.ndarray) -> UncertaintyScores:

@@ -21,7 +21,7 @@ from submodal.functions import (
     new_state,
 )
 from submodal.greedy import GreedyConfig, greedy_select
-from submodal.similarity import FactoredKernel, cosine_block, cosine_factors
+from submodal.similarity import FactoredKernel, cosine_block, cosine_factors, khatri_rao_factors
 from tests.conftest import rescaled_cosine
 
 K3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]])
@@ -626,6 +626,16 @@ def test_coverage_drops_points_their_conditioning_covers(rng):
             assert evaluate(f, state.chosen) == pytest.approx(closed(state.chosen), abs=1e-12)
 
 
+def test_an_empty_conditioning_set_leaves_the_flvmi_block(rng):
+    # flcmi with an empty P skips the shift by 0: the block is flvmi's, bit for bit.
+    u, q, _ = random_sets(rng, 600, 6, 5, 0, 3)
+    for flcmi, flvmi in zip(
+        dense_and_factored("flcmi", u, q, np.zeros((0, 6))), dense_and_factored("flvmi", u, q, None)
+    ):
+        assert flcmi.up.shape == (600, 0)
+        assert np.array_equal(flcmi._cov, flvmi._cov)
+
+
 def test_all_kept_coverage_block_equals_the_gathered_form(rng):
     # fl keeps every column; the block must be the one a gathered copy of
     # the factor gives, bit for bit, across several row blocks.
@@ -683,6 +693,41 @@ class TestFloat32CoverageBlock:
         f_dense = self.pools(kind, rng, n=40)[0]
         assert f_dense._cov.dtype == np.float64
         assert build(kind, rescaled_cosine(rng, 10), q=[8, 9], p=[6, 7])._cov.dtype == np.float64
+
+
+class TestKhatriRaoPool:
+    """A pool factor with Khatri-Rao parts (as the harness builds it)
+    gives the picks of the same factor without them."""
+
+    C, D1 = 4, 8  # factor rank 1 + C * D1 = 33
+
+    @pytest.mark.parametrize("kind", sorted(LOGDET_FAMILY))
+    def test_naive_greedy_picks_and_pivots_match_the_plain_factor(self, kind, rng):
+        n, r = 600, 1 + self.C * self.D1
+        resid = rng.dirichlet(np.ones(self.C), size=n)
+        resid[np.arange(n), rng.integers(self.C, size=n)] -= 1.0
+        xb = np.hstack([2.0 * rng.standard_normal((n, self.D1 - 1)), np.ones((n, 1))])
+        with_parts = khatri_rao_factors(resid, xb)
+        side = {}
+        if kind in NEEDS_Q:
+            side["uq"] = cosine_factors(rng.standard_normal((20, r - 1)))
+        if kind in NEEDS_P:
+            side["up"] = cosine_factors(rng.standard_normal((2 * r, r - 1)))  # above the rank
+
+        def picks_and_pivots(uu):
+            blocks = {name: FactoredKernel(uu.left, fx) for name, fx in side.items()}
+            f = InfoFunction(kind=kind, uu=uu, **blocks)
+            picks = greedy_select(f, GreedyConfig(budget=40, variant="naive")).chosen
+            state = new_state(f)
+            for x in picks:
+                state.commit(x)
+            return picks, [t.dsq for _, t in state._terms]
+
+        picks, pivots = picks_and_pivots(with_parts)
+        want_picks, want_pivots = picks_and_pivots(FactoredKernel(with_parts.left))
+        assert picks == want_picks
+        for got, want in zip(pivots, want_pivots):
+            assert np.abs(got - want).max() <= 1e-12
 
 
 class TestFactorSpaceConditioning:

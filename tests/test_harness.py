@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submodal import functions, similarity
+from submodal import functions, harness, similarity
 from submodal.cli import cli_main
 from submodal.functions import ALL_KINDS, NumericalError
 from submodal.harness import (
@@ -391,6 +391,24 @@ class TestFactoredKernels:
     def test_gc_and_rectangular_kinds_build_no_pool_by_pool_kernel(self, method, monkeypatch):
         res = self.run_without_pool_kernel(tiny_config(method=method), monkeypatch)
         assert res.summary["function_metadata"]["kind"] == method
+
+    def test_only_the_query_and_conditioning_sets_are_embedded(self, monkeypatch):
+        # The pool's factor comes from the gradient parts: the flattened
+        # embedding is formed only for Q and P, |Q| + |P| rows a round.
+        rows = []
+        embed = harness.gradient_embeddings
+
+        def counted(model, features, labels):
+            rows.append(len(features))
+            return embed(model, features, labels)
+
+        monkeypatch.setattr(harness, "gradient_embeddings", counted)
+        cfg = tiny_config(method="logdetcmi")
+        split, _, _ = build_scenario(cfg)
+        q, p = len(split.rare_query), len(split.labeled)
+        run_al(cfg)
+        assert rows == [q, p, q, p + cfg.budget]
+        assert q + p + cfg.budget < len(split.unlabeled) - cfg.budget
 
     def test_summary_reports_the_functions_metadata(self):
         res = run_al(tiny_config(method="flqmi"))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from submodal.functions import _FactoredShiftedKernel
 from submodal.similarity import (
     EmbeddingMatrix,
     FactoredKernel,
@@ -12,6 +13,14 @@ from submodal.similarity import (
     cosine_block,
     cosine_factors,
     cosine_kernel,
+    khatri_rao_factors,
+)
+from submodal.surrogate import (
+    SurrogateModel,
+    TrainConfig,
+    gradient_embeddings,
+    gradient_parts,
+    hypothesized_labels,
 )
 
 
@@ -145,3 +154,64 @@ class TestCosineFactors:
         assert np.array_equal(cosine_block(a), cosine_kernel(emb(a)).data)
         assert np.array_equal(cosine_block(a, b), cosine_kernel(emb(a), emb(b)).data)
         assert cosine_block(a, np.zeros((0, 3))).shape == (7, 0)
+
+
+def badge_parts(g, n, c, d1):
+    """Gradient parts and embeddings of ``n`` random points under a random
+    ``c``-class model on ``d1 - 1`` features, at hypothesized labels."""
+    model = SurrogateModel(g.standard_normal((c, d1)), c, TrainConfig())
+    x = 2.0 * g.standard_normal((n, d1 - 1))
+    y = hypothesized_labels(model, x)
+    return gradient_parts(model, x, y), gradient_embeddings(model, x, y)
+
+
+class TestKhatriRaoFactors:
+    SHAPES = [(2, 2), (9, 33), (10, 33)]
+
+    @pytest.mark.parametrize("c, d1", SHAPES)
+    def test_left_equals_the_factors_of_the_embedding(self, c, d1, rng):
+        (resid, xb), g = badge_parts(rng, 300, c, d1)
+        k = khatri_rao_factors(resid, xb)
+        assert k.symmetric and k.left.shape == (300, 1 + c * d1)
+        assert np.abs(k.left - cosine_factors(g)).max() <= 2e-15
+
+    @pytest.mark.parametrize("c, d1", SHAPES)
+    def test_parts_rebuild_left_through_the_outer_product(self, c, d1, rng):
+        (resid, xb), _ = badge_parts(rng, 300, c, d1)
+        k = khatri_rao_factors(resid, xb)
+        r_hat, x_hat = k.parts
+        assert r_hat.shape == (300, c) and x_hat.shape == (300, d1)
+        outer = (r_hat[:, :, None] * x_hat[:, None, :]).reshape(300, c * d1)
+        rebuilt = np.sqrt(0.5) * np.hstack([np.ones((300, 1)), outer])
+        assert np.abs(k.left - rebuilt).max() <= 1e-15
+
+    @pytest.mark.parametrize("c, d1", SHAPES)
+    def test_parts_matvec_equals_the_factor_matvec(self, c, d1, rng):
+        (resid, xb), _ = badge_parts(rng, 500, c, d1)
+        k = khatri_rao_factors(resid, xb)
+        with_parts = _FactoredShiftedKernel(k, 0.0)
+        plain = _FactoredShiftedKernel(FactoredKernel(k.left), 0.0)
+        assert with_parts.parts is not None and plain.parts is None
+        for _ in range(5):
+            v = rng.standard_normal(k.left.shape[1])
+            want = k.left @ v
+            assert np.abs(with_parts.expand(v) - want).max() <= 1e-14
+            assert np.array_equal(plain.expand(v), want)
+
+    def test_zero_residual_row_raises_as_cosine_factors_does(self, rng):
+        (resid, xb), g = badge_parts(rng, 12, 3, 4)
+        resid[7] = 0.0
+        g[7] = 0.0
+        with pytest.raises(ValueError, match="zero-norm embedding row id=7") as got:
+            khatri_rao_factors(resid, xb)
+        with pytest.raises(ValueError) as want:
+            cosine_factors(g)
+        assert str(got.value) == str(want.value)
+
+    def test_parts_must_make_up_the_factor(self, rng):
+        (resid, xb), _ = badge_parts(rng, 6, 3, 4)
+        k = khatri_rao_factors(resid, xb)
+        with pytest.raises(ValueError, match="do not make up"):
+            FactoredKernel(k.left[:, :-1], parts=k.parts)
+        with pytest.raises(ValueError, match="parts must align"):
+            khatri_rao_factors(resid[:5], xb)
