@@ -22,10 +22,13 @@ div_gcmi     gcmi + eta * fl   (heuristic)          uu, uq
 ===========  =====================================  =======================
 
 ``S_A|X`` denotes the Schur complement of the regularized X-block in the
-joint kernel.  Empty query/conditioning blocks degrade gracefully: an
-empty Q sends every mutual-information kind to 0, an empty P reduces
-each conditional kind to its unconditional counterpart, and evaluating
-the empty selection yields 0 for every kind.
+joint kernel.  ``_LOGDET_TERMS`` lists each log-det kind's signed terms;
+``evaluate`` sums log det(S_A|X) over them from scratch, and the
+selection state keeps one incremental factor per term.  Empty
+query/conditioning blocks degrade gracefully: an empty Q sends every
+mutual-information kind to 0, an empty P reduces each conditional kind
+to its unconditional counterpart, and evaluating the empty selection
+yields 0 for every kind.
 
 The facility-location kinds (fl, flvmi, flcg, flcmi and the fl term of
 div_gcmi) share one form: sum_i c_i(max_{j in A} S_ij) with the per-point
@@ -66,7 +69,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from .similarity import DEFAULT_LOGDET_EPS, FactoredKernel
 
@@ -194,10 +197,10 @@ class InfoFunction:
     # Conditioning corrections of the log-det family, keyed as in
     # ``_LOGDET_TERMS`` (see ``_correction``), built at construction.
     _w: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # Lower Cholesky factors of qq + eps I and pp + eps I, and logdetcmi's
-    # dense pp/qp blocks, kept once ``evaluate`` has computed them.
+    # Lower Cholesky factors of S_XX + eps I, keyed as in ``_LOGDET_TERMS``
+    # (see ``_chol_of``), kept once ``_correction`` or ``evaluate`` has
+    # computed them.
     _chol: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _cuts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # Coverage block of the facility-location family (see the module docs).
     _cov: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
@@ -306,24 +309,33 @@ def _as_factored_cross(val, uu: FactoredKernel, name: str) -> FactoredKernel:
     return val
 
 
-def _dense(f: InfoFunction, name: str) -> np.ndarray:
-    """The qq, pp or qp block as given, or cut from the factors of uq/up
-    (pinned unit diagonal on qq/pp)."""
-    val = getattr(f, name)
-    if val is None:
-        rows = f.uq.cols if name[0] == "q" else f.up.cols
-        cols = f.up.cols if name == "qp" else None
-        val = FactoredKernel(rows, cols).take()
-    return val
+def _cross_of(f: InfoFunction, key: str):
+    """The U x X block of conditioning set X (``key`` as in ``_LOGDET_TERMS``)."""
+    if key != "q+p":
+        return f.uq if key == "q" else f.up
+    if isinstance(f.uq, FactoredKernel):
+        return FactoredKernel(f.uq.left, np.vstack([f.uq.cols, f.up.cols]))
+    return np.hstack([f.uq, f.up])
 
 
-def _chol_of(f: InfoFunction, name: str) -> np.ndarray | None:
-    """Lower Cholesky factor of qq + eps I or pp + eps I, kept once
-    computed (None for an empty set)."""
-    if name not in f._chol:
-        blk = _dense(f, name)
-        f._chol[name] = _chol_or_raise(_reg(blk, f.eps), name) if blk.shape[0] else None
-    return f._chol[name]
+_SET_LABELS = {"q": "qq", "p": "pp", "q+p": "query+conditioning"}
+
+
+def _chol_of(f: InfoFunction, key: str) -> np.ndarray | None:
+    """Lower Cholesky factor of S_XX + eps I for conditioning set X
+    (``key`` as in ``_LOGDET_TERMS``), kept once computed (None for an
+    empty X).  S_XX is the given dense block (the joint of qq, qp and pp
+    for "q+p") or cut from the factors of uq/up."""
+    if key not in f._chol:
+        if isinstance(f.uu, FactoredKernel):
+            sxx = FactoredKernel(_cross_of(f, key).cols).take()
+        elif key == "q+p":
+            sxx = np.block([[f.qq, f.qp], [f.qp.T, f.pp]])
+        else:
+            sxx = f.qq if key == "q" else f.pp
+        lo = _chol_or_raise(_reg(sxx, f.eps), _SET_LABELS[key]) if sxx.shape[0] else None
+        f._chol[key] = lo
+    return f._chol[key]
 
 
 def _correction(f: InfoFunction, key: str) -> np.ndarray | None:
@@ -332,8 +344,8 @@ def _correction(f: InfoFunction, key: str) -> np.ndarray | None:
 
     The conditioned kernel is (S_UU + eps I) - W^T W.  On a dense uu,
     W = L^-1 S_XU (|X| x n), with L the lower Cholesky factor of
-    S_XX + eps I.  On factors S_UX = F F_X^T, and W holds the same
-    correction in the basis F: W^T W = F_X^T (S_XX + eps I)^-1 F_X.
+    S_XX + eps I (``_chol_of``).  On factors S_UX = F F_X^T, and W holds
+    the same correction in the basis F: W^T W = F_X^T (S_XX + eps I)^-1 F_X.
     Up to |X| = r = rank F_X, W = L^-1 F_X with S_XX cut from F_X.
     Above that rank no |X| x |X| array is formed: by the push-through
     identity the correction is G (G + eps I)^-1 with
@@ -341,25 +353,20 @@ def _correction(f: InfoFunction, key: str) -> np.ndarray | None:
     r x r.  With eps = 0 such an S_XX is singular (rank <= r < |X|), and
     the set is rejected.
     """
-    label = {"q": "qq", "p": "pp", "q+p": "query+conditioning"}[key]
-    cross = _hstack_cross(f.uq, f.up) if key == "q+p" else (f.uq if key == "q" else f.up)
+    cross = _cross_of(f, key)
     m = cross.shape[1]
     if m == 0:
         return None
     if not isinstance(cross, FactoredKernel):
-        if key == "q+p":
-            joint = np.block([[f.qq, f.qp], [f.qp.T, f.pp]])
-            lo = _chol_or_raise(_reg(joint, f.eps), label)
-        else:
-            lo = _chol_of(f, label)
-        return solve_triangular(lo, cross.T, lower=True)
+        return solve_triangular(_chol_of(f, key), cross.T, lower=True)
     fx = cross.cols
     r = fx.shape[1]
     if m <= r:
-        lo = _chol_or_raise(_reg(FactoredKernel(fx).take(), f.eps), label)
-        return solve_triangular(lo, fx, lower=True)
+        return solve_triangular(_chol_of(f, key), fx, lower=True)
     if f.eps <= 0.0:
-        raise NumericalError(f"singular {label} block: {m} points on rank-{r} factors with eps = 0")
+        raise NumericalError(
+            f"singular {_SET_LABELS[key]} block: {m} points on rank-{r} factors with eps = 0"
+        )
     lam, vecs = np.linalg.eigh(fx.T @ fx)
     np.maximum(lam, 0.0, out=lam)
     return np.sqrt(lam / (lam + f.eps))[:, None] * vecs.T
@@ -518,17 +525,14 @@ def evaluate(f: InfoFunction, selection: Sequence[int]) -> float:
         return val
 
     sa = _reg(_cut(f.uu, A, A), f.eps)
-    if kind == "logdet":
-        return _slogdet_pd(sa, "selection")
-    if kind == "logdetmi":
-        cond = _conditioned_square(sa, _cut(f.uq, A), _chol_of(f, "qq"))
-        return _slogdet_pd(sa, "selection") - _slogdet_pd(cond, "conditioned selection")
-    if kind == "logdetcg":
-        cond = _conditioned_square(sa, _cut(f.up, A), _chol_of(f, "pp"))
-        return _slogdet_pd(cond, "conditioned selection")
-    if kind == "logdetcmi":
-        return _logdetcmi_ratio(f, A, sa)
-    raise AssertionError(f"unhandled kind {kind}")
+    val = 0.0
+    for sign, key in _LOGDET_TERMS[kind]:
+        if key is None:
+            val += sign * _slogdet_pd(sa, "selection")
+        else:
+            cond = _conditioned_square(sa, _cut(_cross_of(f, key), A), _chol_of(f, key))
+            val += sign * _slogdet_pd(cond, "conditioned selection")
+    return val
 
 
 def _cut(block, rows: np.ndarray | None = None, cols: np.ndarray | None = None) -> np.ndarray:
@@ -546,40 +550,6 @@ def _conditioned_square(sa, cross, lo) -> np.ndarray:
     if lo is None:
         return sa
     return sa - cross @ cho_solve((lo, True), cross.T)
-
-
-def _logdetcmi_ratio(f: InfoFunction, A: np.ndarray, sa: np.ndarray) -> float:
-    """Literal contraction-ratio form of the conditional mutual information.
-
-    log det(I - S_P^-1 S_PQ S_Q^-1 S_QP)
-      - log det(I - S_AP^-1 S_{AP,Q} S_Q^-1 S_{Q,AP})
-    with AP the block matrix over A followed by P.
-    """
-    eps = f.eps
-    q = f.uq.shape[1]
-    p = f.up.shape[1]
-    if q == 0:
-        return 0.0
-    qf = (_chol_of(f, "qq"), True)
-    if not f._cuts:
-        f._cuts.update(pp=_dense(f, "pp"), qp=_dense(f, "qp"))
-    pp, qp = f._cuts["pp"], f._cuts["qp"]
-    ua_q, ua_p = _cut(f.uq, A), _cut(f.up, A)
-
-    def contraction_logdet(square_reg, cross_q):
-        # det(I - square^-1 cross Sq^-1 cross^T), sizes: square m x m, cross m x q
-        m = square_reg.shape[0]
-        if m == 0:
-            return 0.0
-        inner = cross_q @ cho_solve(qf, cross_q.T)
-        mf = cho_factor(square_reg, lower=True)
-        return _slogdet_pd(np.eye(m) - cho_solve(mf, inner), "contraction")
-
-    num = contraction_logdet(_reg(pp, eps), qp.T) if p else 0.0
-    ap_square = np.block([[sa, ua_p], [ua_p.T, _reg(pp, eps)]]) if p else sa
-    ap_cross = np.vstack([ua_q, qp.T]) if p else ua_q
-    den = contraction_logdet(ap_square, ap_cross)
-    return num - den
 
 
 # ---------------------------------------------------------------------------
@@ -670,13 +640,6 @@ class _FactoredShiftedKernel:
         out += coords[0]
         out *= math.sqrt(0.5)
         return out
-
-
-def _hstack_cross(uq, up):
-    """The U x (Q union P) block, in the representation of its parts."""
-    if isinstance(uq, FactoredKernel):
-        return FactoredKernel(uq.left, np.vstack([uq.cols, up.cols]))
-    return np.hstack([uq, up])
 
 
 class _LogDetTerm:

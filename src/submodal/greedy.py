@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -65,7 +64,6 @@ class SelectionResult:
     gains: tuple[float, ...]
     value: float
     evaluations: int
-    elapsed: float
     pivot_floor_hits: int = 0  # log-det commits whose pivot hit the floor
 
 
@@ -93,7 +91,6 @@ def greedy_select(f: InfoFunction, cfg: GreedyConfig) -> SelectionResult:
     if n == 0:
         raise ValueError("ground set is empty")
     budget = _effective_budget(n, cfg.budget)
-    start = time.perf_counter()
     state = new_state(f)
     evals = 0
     gains: list[float] = []
@@ -131,7 +128,6 @@ def greedy_select(f: InfoFunction, cfg: GreedyConfig) -> SelectionResult:
         gains=tuple(gains),
         value=state.value,
         evaluations=evals,
-        elapsed=time.perf_counter() - start,
         pivot_floor_hits=state.numerical_warnings,
     )
 
@@ -161,7 +157,6 @@ def partitioned_select(
     """
     p = cfg.partitions
     budget = _effective_budget(n, cfg.budget)
-    start = time.perf_counter()
 
     order = np.random.default_rng(cfg.seed).permutation(n)
     sizes = partition_sizes(n, p)
@@ -184,7 +179,7 @@ def partitioned_select(
         chunk_seed = int(np.random.SeedSequence((cfg.seed, i)).generate_state(1)[0])
         chunk_cfg = replace(cfg, budget=max(quotas[i], 1), partitions=1, seed=chunk_seed)
         if quotas[i] == 0:
-            return SelectionResult((), (), 0.0, 0, 0.0)
+            return SelectionResult((), (), 0.0, 0)
         return greedy_select(make_function(ids), chunk_cfg)
 
     results = [run_chunk(i) for i in range(p)]
@@ -203,7 +198,6 @@ def partitioned_select(
         gains=tuple(gains),
         value=value,
         evaluations=evals,
-        elapsed=time.perf_counter() - start,
         pivot_floor_hits=sum(res.pivot_floor_hits for res in results),
     )
 
@@ -220,7 +214,6 @@ def exhaustive_opt(f: InfoFunction, budget: int, limit: int = 10**6) -> Selectio
         raise ValueError(
             f"enumeration of C({n}, {budget}) subsets exceeds the {limit} limit"
         )
-    start = time.perf_counter()
     best_val = -math.inf
     best: tuple[int, ...] = ()
     evals = 0
@@ -241,5 +234,4 @@ def exhaustive_opt(f: InfoFunction, budget: int, limit: int = 10**6) -> Selectio
         gains=tuple(gains),
         value=best_val,
         evaluations=evals,
-        elapsed=time.perf_counter() - start,
     )

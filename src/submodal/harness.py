@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from . import scenarios as sc
 from . import similarity as sim
@@ -506,7 +506,7 @@ def penalty_matrix(traces: Mapping[str, np.ndarray], alpha: float = 0.05) -> Pen
         if arr.shape != (n_seeds, n_rounds):
             raise ValueError(f"trace for {name!r} has shape {arr.shape}, expected {(n_seeds, n_rounds)}")
 
-    t_crit = float(stats.t.ppf(1.0 - alpha / 2.0, n_seeds - 1))
+    t_crit = float(stdtrit(n_seeds - 1, 1.0 - alpha / 2.0))
     m = np.zeros((len(methods), len(methods)))
     for r in range(n_rounds):
         for i in range(len(methods)):

@@ -76,8 +76,6 @@ class SimilarityKernel:
 
     data: np.ndarray
     symmetric: bool
-    row_ids: np.ndarray
-    col_ids: np.ndarray
 
     def __post_init__(self):
         data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
@@ -86,8 +84,6 @@ class SimilarityKernel:
         if self.symmetric and data.shape[0] != data.shape[1]:
             raise ValueError("symmetric kernel must be square")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "row_ids", np.asarray(self.row_ids))
-        object.__setattr__(self, "col_ids", np.asarray(self.col_ids))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -153,12 +149,7 @@ def cosine_kernel(a: EmbeddingMatrix, b: EmbeddingMatrix | None = None) -> Simil
     rescaled *= 0.5
     if same:
         np.fill_diagonal(rescaled, 1.0)
-    return SimilarityKernel(
-        data=rescaled,
-        symmetric=same,
-        row_ids=a.ids,
-        col_ids=bm.ids,
-    )
+    return SimilarityKernel(data=rescaled, symmetric=same)
 
 
 def cosine_block(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:

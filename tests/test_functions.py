@@ -525,6 +525,19 @@ def test_factored_logdet_matches_dense_property(seed, kind, n, d, n_q, n_p, dups
         assert lazy_fact.chosen == lazy_dense.chosen
 
 
+@pytest.mark.parametrize("kind", ["flvmi", "flqmi", "gcmi", "logdetmi", "flcmi", "logdetcmi"])
+# |P| = 20 is above the factor rank 6: the push-through corrections.
+@pytest.mark.parametrize("n_p", [3, 20])
+def test_an_empty_query_sends_every_mutual_information_kind_to_zero(kind, n_p, rng):
+    u, q, p = random_sets(rng, 24, 5, 0, n_p, dups=2)
+    for f in dense_and_factored(kind, u, q, p):
+        state = new_state(f)
+        for x in rng.permutation(f.n)[:8]:
+            assert not state.gains(np.flatnonzero(~state._mask)).any()
+            assert state.commit(int(x)) == 0.0
+            assert evaluate(f, state.chosen) == 0.0
+
+
 def batch_gains_match_scalar_loop(f, order):
     """Commit ``order``; before each commit the batch gains of every
     unchosen point must equal the scalar gains bit for bit."""

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -483,6 +485,13 @@ class TestPenaltyMatrix:
         # a pair cannot award more than the full round budget
         assert np.all(m + m.T <= 1 + 1e-12)
 
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # The t quantile comes from scipy.special; scipy.stats would add
+        # about a second to every interpreter that imports the package.
+        code = "import sys, submodal; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestCli:
     def test_run_twice_is_byte_identical_modulo_timing(self, tmp_path):
@@ -587,6 +596,30 @@ class TestCli:
             assert "id_selected" not in line
             finals = [recs[-1]["rare_accuracy"] for recs in runs]
             assert f"final rare_accuracy={np.mean(finals):.4f} +/- {np.std(finals):.4f}" in line
+
+    def test_sweep_with_two_jobs_matches_one_job(self, tmp_path):
+        outputs = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            rc = cli_main(
+                ["sweep", "--scenario", "rare", "--methods", "random,flqmi",
+                 "--num-seeds", "2", "--rounds", "2", "--budget", "10",
+                 "--set", "scenario_params.unlabeled_common=60",
+                 "--set", "scenario_params.dim=10",
+                 "--set", "test_per_class=20",
+                 "--set", 'model={"epochs": 60}',
+                 "--metric", "rare_accuracy",
+                 "--jobs", str(jobs),
+                 "--output-dir", str(out)]
+            )
+            assert rc == 0
+            records = {}
+            for path in sorted(out.glob("*.jsonl")):
+                recs = [json.loads(l) for l in path.read_text().splitlines()]
+                records[path.name] = [{k: v for k, v in r.items() if k != "elapsed"} for r in recs]
+            outputs[jobs] = ((out / "penalty_matrix.csv").read_text(), records)
+        assert len(outputs[1][1]) == 4
+        assert outputs[2] == outputs[1]
 
 
 class TestConfigSections:
