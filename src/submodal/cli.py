@@ -162,6 +162,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError("sweep needs at least two methods")
     if args.num_seeds < 2:
         raise ValueError("sweep needs --num-seeds >= 2 (the penalty t-test is undefined on one seed)")
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"--alpha must lie in (0, 1), got {args.alpha}")
     seeds = [config.seed + i for i in range(args.num_seeds)]
     out = Path(config.output_dir) if config.output_dir else Path("runs") / f"sweep-{config.scenario}"
     out.mkdir(parents=True, exist_ok=True)

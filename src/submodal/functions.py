@@ -55,11 +55,14 @@ each log-det commit read the parts instead of F (see
 ``_FactoredShiftedKernel``).  Dense blocks remain the reference input of
 ``from_joint``.
 
-A ``SelectionState`` memoizes whatever its kind needs (running coverage
-maxima for the facility-location family, incremental Cholesky factors
-for the log-determinant family, running cross sums for graph cut) so
-that marginal gains are cheap and a commit sequence reproduces the
-from-scratch value within 1e-8 absolute (1e-6 relative for log-det).
+A ``SelectionState`` memoizes gains in one of two forms, so that they are
+cheap and a commit sequence reproduces the from-scratch value within 1e-8
+absolute (1e-6 relative for log-det).  A log-det kind keeps one
+incremental Cholesky factor per term.  Every other kind's gain is
+lin[x] + w sum_i max(cov[x,i] - covered_i, 0) - lam (S_xx + 2 sum_A S_xa),
+from the parts it has: a modular vector (flqmi's max_Q S_x, the graph-cut
+row sums), a coverage block with running maxima (the block above, with
+w = eta for div_gcmi; flqmi's uq) and the cross sums of gc and gccg.
 """
 
 from __future__ import annotations
@@ -683,8 +686,8 @@ class _LogDetTerm:
 class SelectionState:
     """Single-owner mutable companion of an InfoFunction.
 
-    Tracks the ordered selection, the memoization payload of its kind,
-    and the running objective value (sum of committed gains).
+    Tracks the ordered selection, the memoized parts of its kind's gain
+    (see the module docs) and the running objective value.
     """
 
     def __init__(self, f: InfoFunction):
@@ -692,69 +695,69 @@ class SelectionState:
         self.chosen: list[int] = []
         self.value = 0.0
         self._mask = np.zeros(f.n, dtype=bool)
+        self._terms: list[tuple[float, _LogDetTerm]] = []
+        self._lin = self._cov = self._cross = None
         kind = f.kind
-        n = f.n
-
-        if kind in FL_FAMILY:
-            self._covered = np.zeros(f._cov.shape[1])  # max over A of cov[a]
-        if kind == "flqmi":
-            self._best_q = np.zeros(f.uq.shape[1])
-            self._qrow = _row_max(f.uq)
-        if kind in ("gcmi", "div_gcmi"):
-            self._w = 2.0 * f.gc_lambda * _row_sums(f.uq)
-        if kind in ("gc", "gccg"):
-            self._colsum = _row_sums(f.uu)  # = column sums: uu is symmetric
-            self._diag = np.ones(n) if isinstance(f.uu, FactoredKernel) else f.uu.diagonal()
-            self._cross = np.zeros(n)
-            if kind == "gccg":
-                self._colsum = self._colsum - 2.0 * f.gc_lambda * _row_sums(f.up)
         if kind in LOGDET_FAMILY:
             cls = _FactoredShiftedKernel if isinstance(f.uu, FactoredKernel) else _ShiftedKernel
-
             self._terms = [
                 (sign, _LogDetTerm(cls(f.uu, f.eps, f._w.get(key))))
                 for sign, key in _LOGDET_TERMS[kind]
             ]
+        elif kind == "flqmi":  # sum_A max_Q is modular, sum_Q max_A covers uq
+            self._lin, self._cov, self._weight = _row_max(f.uq), f.uq, 1.0
+        elif kind in ("gc", "gccg"):
+            self._lin = _row_sums(f.uu)  # = column sums: uu is symmetric
+            if f.up is not None:
+                self._lin = self._lin - 2.0 * f.gc_lambda * _row_sums(f.up)
+            self._diag = np.ones(f.n) if isinstance(f.uu, FactoredKernel) else f.uu.diagonal()
+            self._cross = np.zeros(f.n)
+        if kind in ("gcmi", "div_gcmi"):
+            self._lin = 2.0 * f.gc_lambda * _row_sums(f.uq)
+        if kind in FL_FAMILY:
+            self._cov, self._weight = f._cov, (f.eta if kind == "div_gcmi" else 1.0)
+        if self._cov is not None:
+            self._covered = np.zeros(self._cov.shape[1])  # max over A of cov[a]
+            self._upcast = self._cov.dtype != np.float64
 
     # -- public API -----------------------------------------------------
 
     @property
     def numerical_warnings(self) -> int:
-        if self.f.kind in LOGDET_FAMILY:
-            return sum(t.warnings for _, t in self._terms)
-        return 0
+        return sum(t.warnings for _, t in self._terms)
 
     def gain(self, x: int) -> float:
         """Marginal gain of adding x to the current selection.
 
-        Facility-location gains are pointwise rises of the coverage maxima
-        summed, which keeps them a pure function of those maxima and
-        numerically nonincreasing as the selection grows (both needed for
-        the lazy and naive variants to agree bit for bit).  The rises are
-        float64 even on a float32 block: its row upcasts exactly against
-        the float64 maxima.
+        Coverage gains are pointwise rises of the running maxima summed,
+        which keeps them a pure function of those maxima and numerically
+        nonincreasing as the selection grows (both needed for the lazy and
+        naive variants to agree bit for bit).  The rises are float64 even
+        on a float32 block: its row upcasts exactly against the float64
+        maxima.
         """
         if self._mask[x]:
             raise ValueError(f"index {x} already selected")
-        kind = self.f.kind
-        if kind in FL_FAMILY:
-            # Upcast first: a mixed float32 - float64 ufunc ran about 30%
-            # slower than this copy and in-place subtract (same values).
-            rise = self.f._cov[x].astype(np.float64)
-            rise -= self._covered
-            covered = np.maximum(rise, 0.0, out=rise).sum()
-            if kind == "div_gcmi":
-                return float(self._w[x] + self.f.eta * covered)
-            return float(covered)
-        if kind == "flqmi":
-            rise = np.maximum(self._best_q, self.f.uq[x, :]) - self._best_q
-            return float(rise.sum() + self._qrow[x])
-        if kind == "gcmi":
-            return float(self._w[x])
-        if kind in ("gc", "gccg"):
-            lam = self.f.gc_lambda
-            return float(self._colsum[x] - lam * (self._diag[x] + 2.0 * self._cross[x]))
-        return float(sum(sign * term.gain(x) for sign, term in self._terms))
+        if self._terms:
+            return float(sum(sign * term.gain(x) for sign, term in self._terms))
+        if self._cov is None:
+            g = self._lin[x]
+        else:
+            if self._upcast:
+                # Upcast first: a mixed float32 - float64 ufunc ran about
+                # 30% slower than this copy and in-place subtract (same values).
+                rise = self._cov[x].astype(np.float64)
+                rise -= self._covered
+            else:
+                rise = self._cov[x] - self._covered
+            # ndarray.sum's own ufunc, without its Python wrapper: same floats.
+            covered = np.add.reduce(np.maximum(rise, 0.0, out=rise))
+            if self._lin is None:
+                return float(covered)
+            g = self._lin[x] + self._weight * covered
+        if self._cross is not None:
+            g -= self.f.gc_lambda * (self._diag[x] + 2.0 * self._cross[x])
+        return float(g)
 
     def gains(self, candidates: np.ndarray) -> np.ndarray:
         """Marginal gains for a batch of unchosen candidates, each the
@@ -770,7 +773,7 @@ class SelectionState:
         path.
         """
         candidates = np.asarray(candidates, dtype=np.intp)
-        if self.f.kind not in LOGDET_FAMILY:
+        if not self._terms:
             return np.array([self.gain(int(x)) for x in candidates])
         chosen = candidates[self._mask[candidates]]
         if chosen.size:
@@ -780,16 +783,12 @@ class SelectionState:
     def commit(self, x: int) -> float:
         """Add x to the selection; returns the realized gain."""
         g = self.gain(x)
-        kind = self.f.kind
-        if kind in FL_FAMILY:
-            np.maximum(self._covered, self.f._cov[x], out=self._covered)
-        if kind == "flqmi":
-            np.maximum(self._best_q, self.f.uq[x, :], out=self._best_q)
-        if kind in ("gc", "gccg"):
+        if self._cov is not None:
+            np.maximum(self._covered, self._cov[x], out=self._covered)
+        if self._cross is not None:
             self._cross += _cut(self.f.uu, [x])[0]
-        if kind in LOGDET_FAMILY:
-            for _, term in self._terms:
-                term.commit(x)
+        for _, term in self._terms:
+            term.commit(x)
         self._mask[x] = True
         self.chosen.append(int(x))
         self.value += g

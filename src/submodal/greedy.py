@@ -133,14 +133,14 @@ def greedy_select(f: InfoFunction, cfg: GreedyConfig) -> SelectionResult:
 
 
 def partition_sizes(n: int, p: int) -> list[int]:
+    """Even split of n into p parts, the remainder to the lowest parts."""
     base, extra = divmod(n, p)
     return [base + (1 if i < extra else 0) for i in range(p)]
 
 
 def partition_quotas(budget: int, p: int) -> list[int]:
     """Per-chunk pick counts: floor(B/p) each, remainder to the lowest chunks."""
-    base, extra = divmod(budget, p)
-    return [base + (1 if i < extra else 0) for i in range(p)]
+    return partition_sizes(budget, p)
 
 
 def partitioned_select(
@@ -157,48 +157,32 @@ def partitioned_select(
     """
     p = cfg.partitions
     budget = _effective_budget(n, cfg.budget)
-
     order = np.random.default_rng(cfg.seed).permutation(n)
-    sizes = partition_sizes(n, p)
-    quotas = partition_quotas(budget, p)
-
-    chunks = []
-    offset = 0
-    for i, size in enumerate(sizes):
-        ids = np.sort(order[offset : offset + size])
-        offset += size
-        if size < quotas[i]:
-            raise ValueError(
-                f"partition {i} has {size} points but a quota of {quotas[i]} "
-                f"(sizes={sizes}, quotas={quotas})"
-            )
-        chunks.append(ids)
-
-    def run_chunk(i: int) -> SelectionResult:
-        ids = chunks[i]
-        chunk_seed = int(np.random.SeedSequence((cfg.seed, i)).generate_state(1)[0])
-        chunk_cfg = replace(cfg, budget=max(quotas[i], 1), partitions=1, seed=chunk_seed)
-        if quotas[i] == 0:
-            return SelectionResult((), (), 0.0, 0)
-        return greedy_select(make_function(ids), chunk_cfg)
-
-    results = [run_chunk(i) for i in range(p)]
 
     chosen: list[int] = []
     gains: list[float] = []
     value = 0.0
-    evals = 0
-    for ids, res in zip(chunks, results):
+    evals = hits = offset = 0
+    # The same even split of budget <= n and of n: quota <= size (0 only when empty).
+    for i, (size, quota) in enumerate(zip(partition_sizes(n, p), partition_quotas(budget, p))):
+        ids = np.sort(order[offset : offset + size])
+        offset += size
+        if quota == 0:
+            continue
+        chunk_seed = int(np.random.SeedSequence((cfg.seed, i)).generate_state(1)[0])
+        chunk_cfg = replace(cfg, budget=quota, partitions=1, seed=chunk_seed)
+        res = greedy_select(make_function(ids), chunk_cfg)
         chosen.extend(int(ids[local]) for local in res.chosen)
         gains.extend(res.gains)
         value += res.value
         evals += res.evaluations
+        hits += res.pivot_floor_hits
     return SelectionResult(
         chosen=tuple(chosen),
         gains=tuple(gains),
         value=value,
         evaluations=evals,
-        pivot_floor_hits=sum(res.pivot_floor_hits for res in results),
+        pivot_floor_hits=hits,
     )
 
 

@@ -495,6 +495,8 @@ def penalty_matrix(traces: Mapping[str, np.ndarray], alpha: float = 0.05) -> Pen
     accuracy difference of i over j exceeds the critical value of its
     standard error; ties and insignificant rounds contribute nothing.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     methods = tuple(traces)
     if len(methods) < 2:
         raise ValueError("penalty matrix needs at least two methods")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from itertools import combinations
@@ -12,6 +13,7 @@ from submodal.functions import (
     ALL_KINDS,
     FL_FAMILY,
     LOGDET_FAMILY,
+    SUBMODULAR,
     GroundTruthOracle,
     InfoFunction,
     NumericalError,
@@ -829,3 +831,42 @@ class TestFactorSpaceConditioning:
         finally:
             tracemalloc.stop()
         assert peak < square_bytes / 2
+
+
+def greedy_digest(f, budget):
+    """Digest of naive greedy's picks and gains (12 significant digits),
+    plus lazy greedy's on the submodular kinds."""
+    variants = ("naive", "lazy") if f.kind in SUBMODULAR else ("naive",)
+    runs = []
+    for variant in variants:
+        res = greedy_select(f, GreedyConfig(budget=budget, variant=variant))
+        runs.append([list(res.chosen), [f"{g:.12g}" for g in res.gains]])
+    return hashlib.sha256(repr(runs).encode()).hexdigest()[:16]
+
+
+# Per kind: (dense from_joint instance, cosine_factors input).
+GREEDY_DIGESTS = {
+    "fl": ("1dc178eb5d4be940", "fa9b3a57eb5c552f"),
+    "gc": ("5825612369cd08d7", "e0cdba00dadd34ec"),
+    "logdet": ("c8b722a65abf9e9f", "608bd9c81e69d20a"),
+    "flvmi": ("8fce8e29cc925395", "b79498e68551ef48"),
+    "flqmi": ("679eb190c795037e", "c4c08d9e641d6076"),
+    "gcmi": ("e2bb598a10699716", "b6fe1cac87da677e"),
+    "logdetmi": ("1f8516ee280e26fc", "ede32ef218b5cdbe"),
+    "flcg": ("14e1fc49fececf22", "689396c57d581ceb"),
+    "gccg": ("2051b6049f835b25", "58acdee0fb2db8fa"),
+    "logdetcg": ("d099f66988186b4a", "ef1ed0b8233bfe14"),
+    "flcmi": ("6c503d144ea605c8", "b87d7ef87dcafa5d"),
+    "logdetcmi": ("cec75ac8d928333b", "3a12d8be0e101b86"),
+    "div_gcmi": ("d3ef9be9682eb221", "82ae1709aeaeda47"),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_greedy_output_is_pinned_by_digest(kind):
+    g = np.random.default_rng(1507)
+    dense = build(kind, rescaled_cosine(g, 40, d=6), q=[3, 17, 30], p=[5, 11, 24, 36])
+    # |P| = 9 is above the factor rank 6: the push-through corrections.
+    u, q, p = random_sets(g, 60, 5, 4, 9, dups=2)
+    factored = dense_and_factored(kind, u, q, p)[1]
+    assert (greedy_digest(dense, 8), greedy_digest(factored, 12)) == GREEDY_DIGESTS[kind]

@@ -452,6 +452,12 @@ class TestPenaltyMatrix:
         with pytest.raises(ValueError, match="2 seeds"):
             penalty_matrix({"a": np.array([[0.5, 0.6]]), "b": np.array([[0.4, 0.5]])})
 
+    @pytest.mark.parametrize("alpha", [1.5, 5.0, 0.0, 1.0, -0.1, float("nan")])
+    def test_alpha_outside_the_unit_interval_rejected(self, alpha):
+        a = np.array([[0.5, 0.6], [0.52, 0.62]])
+        with pytest.raises(ValueError, match="alpha"):
+            penalty_matrix({"x": a, "y": a.copy()}, alpha=alpha)
+
     def test_misaligned_rounds_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             penalty_matrix({"a": np.zeros((2, 3)), "b": np.zeros((2, 4))})
@@ -689,3 +695,20 @@ def test_sweep_with_one_seed_exits_two_before_any_run(monkeypatch, tmp_path):
     )
     assert rc == 2
     assert calls == []
+
+
+@pytest.mark.parametrize("alpha", ["5", "1.5", "0", "-0.1"])
+def test_sweep_with_an_alpha_outside_the_unit_interval_exits_two_before_any_run(
+    alpha, monkeypatch, tmp_path, capsys
+):
+    import submodal.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli.hn, "run_al", lambda *a, **k: calls.append(a))
+    rc = cli_main(
+        ["sweep", "--scenario", "rare", "--methods", "random,flqmi", "--alpha", alpha,
+         "--output-dir", str(tmp_path / "out")]
+    )
+    assert rc == 2
+    assert calls == []
+    assert "--alpha" in capsys.readouterr().err
