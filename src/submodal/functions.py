@@ -36,7 +36,11 @@ coverage c_i(s) = max(min(s, q_i) - p_i, 0), q_i = max_Q S_i (no min
 without Q) and p_i = max_P S_i (no shift without P).  ``InfoFunction``
 builds the coverage block cov[x, i] = c_i(S_xi) once, keeping only the
 columns with q_i > p_i (c_i is identically 0 on the others); gains,
-commits and ``evaluate`` read nothing else.  A block built from factors
+commits and ``evaluate`` read nothing else.  On a pool factor with
+Khatri-Rao parts (R, X) the block is filled from the parts,
+(1 + (R R^T) * (X X^T)) / 2, two GEMMs of inner dimension C and d + 1
+instead of one of C (d + 1) + 1.  The build also keeps the block's row
+sums, the gains at the empty selection.  A block built from factors
 whose float64 form would exceed ``_FLOAT64_BLOCK_BYTES`` is stored in
 float32 (each entry the float64 value rounded once); the running maxima,
 gains and sums stay float64, so the float32 entries upcast exactly.
@@ -52,7 +56,9 @@ given): each set becomes a correction W of at most D+1 rows, and no
 |X| x |X| block is formed above that rank.  A pool factor that carries
 Khatri-Rao parts (``khatri_rao_factors``, as the harness builds it) lets
 each log-det commit read the parts instead of F (see
-``_FactoredShiftedKernel``).  Dense blocks remain the reference input of
+``_FactoredShiftedKernel``).  ``evaluate`` conditions on a set above the
+rank through the r x r Gram matrix of its factors too, with its own
+Cholesky solve.  Dense blocks remain the reference input of
 ``from_joint``.
 
 A ``SelectionState`` memoizes gains in one of two forms, so that they are
@@ -63,6 +69,9 @@ lin[x] + w sum_i max(cov[x,i] - covered_i, 0) - lam (S_xx + 2 sum_A S_xa),
 from the parts it has: a modular vector (flqmi's max_Q S_x, the graph-cut
 row sums), a coverage block with running maxima (the block above, with
 w = eta for div_gcmi; flqmi's uq) and the cross sums of gc and gccg.
+A batch of gains is one array expression over these parts, except that
+a coverage block's rises are read one row per candidate once the
+selection is not empty.
 """
 
 from __future__ import annotations
@@ -120,6 +129,15 @@ _PIVOT_FLOOR = 1e-12
 # coverage matrix (rows x kept columns) is transformed right after its GEMM,
 # while still in cache.  Smaller blocks measured slower, larger no faster.
 _BLOCK_ROWS = 256
+
+# Rows per block of a coverage matrix filled from Khatri-Rao parts.  Its two
+# GEMMs have inner dimensions C and d + 1, so the fill is bound by its passes
+# over the two staging buffers, not by the GEMMs.  A 14000 x 14000 float32
+# fill took 1.5-1.7 s with 64 rows, 1.6-1.8 s with 32 or 128 and 2.0 s with
+# 256 (2 vCPUs, OpenBLAS with 2 threads); with the other vCPU busy, 64 and
+# 256 rows took 3.2-3.5 s and 32 rows 4.4-4.8 s (twice the small GEMMs, each
+# waiting on both threads).  At 5719 columns 32-256 rows were alike.
+_PARTS_BLOCK_ROWS = 64
 
 # A factored coverage block whose float64 form would exceed this many bytes
 # is stored in float32.  Below it the block is no larger than the rest of a
@@ -204,8 +222,10 @@ class InfoFunction:
     # (see ``_chol_of``), kept once ``_correction`` or ``evaluate`` has
     # computed them.
     _chol: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # Coverage block of the facility-location family (see the module docs).
+    # Coverage block of the facility-location family (see the module docs)
+    # and its row sums, the gains at the empty selection.
     _cov: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    _cov_sums: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         kind = canonical_kind(self.kind)
@@ -275,7 +295,9 @@ class InfoFunction:
             if w is not None:
                 self._w[key] = w
         if kind in FL_FAMILY:
-            object.__setattr__(self, "_cov", _coverage_block(self))
+            cov, sums = _coverage_block(self)
+            object.__setattr__(self, "_cov", cov)
+            object.__setattr__(self, "_cov_sums", sums)
 
     @property
     def n(self) -> int:
@@ -324,14 +346,25 @@ def _cross_of(f: InfoFunction, key: str):
 _SET_LABELS = {"q": "qq", "p": "pp", "q+p": "query+conditioning"}
 
 
+def _above_rank(cross) -> bool:
+    """Whether X outnumbers the rank r of the factors of a U x X block,
+    so that X enters through the r x r Gram matrix F_X^T F_X."""
+    return isinstance(cross, FactoredKernel) and cross.shape[1] > cross.cols.shape[1]
+
+
 def _chol_of(f: InfoFunction, key: str) -> np.ndarray | None:
     """Lower Cholesky factor of S_XX + eps I for conditioning set X
     (``key`` as in ``_LOGDET_TERMS``), kept once computed (None for an
     empty X).  S_XX is the given dense block (the joint of qq, qp and pp
-    for "q+p") or cut from the factors of uq/up."""
+    for "q+p") or cut from the factors of uq/up.  Above the rank of F_X
+    it is the factor of G + eps I instead, with G = F_X^T F_X (r x r; see
+    ``_conditioned_square``)."""
     if key not in f._chol:
-        if isinstance(f.uu, FactoredKernel):
-            sxx = FactoredKernel(_cross_of(f, key).cols).take()
+        cross = _cross_of(f, key)
+        if _above_rank(cross):
+            sxx = cross.cols.T @ cross.cols
+        elif isinstance(f.uu, FactoredKernel):
+            sxx = FactoredKernel(cross.cols).take()
         elif key == "q+p":
             sxx = np.block([[f.qq, f.qp], [f.qp.T, f.pp]])
         else:
@@ -375,15 +408,25 @@ def _correction(f: InfoFunction, key: str) -> np.ndarray | None:
     return np.sqrt(lam / (lam + f.eps))[:, None] * vecs.T
 
 
-def _coverage_block(f: InfoFunction) -> np.ndarray:
-    """cov[x, k] = c_i(S_xi) for the kept columns i = keep[k] (q_i > p_i).
+def _coverage_block(f: InfoFunction) -> tuple[np.ndarray, np.ndarray]:
+    """cov[x, k] = c_i(S_xi) for the kept columns i = keep[k] (q_i > p_i),
+    and its row sums.
 
-    Filled in row blocks: one GEMM from the factors (or a cut of the dense
-    block) into the output rows, then the transform in place.  The pinned
-    unit diagonal of a factored uu is set by index.  The clamp at 0 matches
-    the state's zero-initialized maxima.  A float32 block (factored, above
-    ``_FLOAT64_BLOCK_BYTES``) runs the same float64 steps in one reused
-    staging buffer of ``_BLOCK_ROWS`` rows; the clamp stores into the block.
+    Filled in row blocks: the raw similarities go into the output rows,
+    then the transform runs in place.  A pool factor with Khatri-Rao parts
+    (R, X) gives them as (1 + (R_rows R_keep^T) * (X_rows X_keep^T)) / 2,
+    two GEMMs of inner dimension C and d + 1 through a second staging
+    buffer of ``_PARTS_BLOCK_ROWS`` rows; a plain factor F gives them as
+    F_rows F_keep^T, and a dense block by a cut.  The pinned unit diagonal
+    of a factored uu is set by index.  The clamp at 0 matches the state's
+    zero-initialized maxima.  A float32 block (factored, above
+    ``_FLOAT64_BLOCK_BYTES``) runs the same float64 steps in a reused
+    staging buffer; the clamp stores into the block.
+
+    Each row's sum is taken while its rows are still in cache, over the
+    float64 values of the stored entries with the ufunc a gain sums its
+    rises with: at the empty selection every rise is the entry itself, so
+    these are the first gains, bit for bit (see ``SelectionState.gains``).
     """
     n = f.n
     q = _row_max(f.uq) if f.kind in ("flvmi", "flcmi") else None
@@ -394,28 +437,46 @@ def _coverage_block(f: InfoFunction) -> np.ndarray:
     q = None if q is None else q[keep]
     p = None if p is None else p[keep]
     factored = isinstance(f.uu, FactoredKernel)
-    cols = None
-    if factored:
-        # All kept: the transposed view has the layout of the gathered copy.
-        cols = f.uu.left.T if keep.size == n else f.uu.left[keep].T
+    parts = f.uu.parts if factored else None
+    # All kept: a transposed view has the layout of the gathered copy.
+    every = slice(None) if keep.size == n else keep
+    step = _BLOCK_ROWS
+    if parts is not None:
+        r, x = parts
+        # Halving is exact: (R/2) R^T * X X^T + 1/2 rounds as (1 + R R^T * X X^T) / 2.
+        half_r = 0.5 * r
+        r_cols, x_cols = r[every].T, x[every].T
+        step = _PARTS_BLOCK_ROWS
+        aux = np.empty((min(n, step), keep.size))
+    elif factored:
+        cols = f.uu.left[every].T
     wide = factored and n * keep.size * 8 > _FLOAT64_BLOCK_BYTES
     cov = np.empty((n, keep.size), dtype=np.float32 if wide else np.float64)
-    stage = np.empty((min(n, _BLOCK_ROWS), keep.size)) if wide else None
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(n, lo + _BLOCK_ROWS)
+    sums = np.empty(n)
+    stage = np.empty((min(n, step), keep.size)) if wide else None
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
         blk = stage[: hi - lo] if wide else cov[lo:hi]
-        if factored:
+        if parts is not None:
+            np.matmul(half_r[lo:hi], r_cols, out=blk)
+            blk *= np.matmul(x[lo:hi], x_cols, out=aux[: hi - lo])
+            blk += 0.5
+        elif factored:
             np.matmul(f.uu.left[lo:hi], cols, out=blk)
-            a, b = np.searchsorted(keep, (lo, hi))
-            blk[keep[a:b] - lo, np.arange(a, b)] = 1.0
         else:
             np.take(f.uu[lo:hi], keep, axis=1, out=blk)
+        if factored:
+            a, b = np.searchsorted(keep, (lo, hi))
+            blk[keep[a:b] - lo, np.arange(a, b)] = 1.0
         if q is not None:
             np.minimum(blk, q, out=blk)
         if p is not None:
             np.subtract(blk, p, out=blk)
         np.maximum(blk, 0.0, out=cov[lo:hi])  # the cast on store, if any
-    return cov
+        if wide:
+            np.copyto(blk, cov[lo:hi])  # the stored values, upcast exactly
+        np.add.reduce(blk, axis=1, out=sums[lo:hi])
+    return cov, sums
 
 
 def _row_max(block) -> np.ndarray:
@@ -533,8 +594,7 @@ def evaluate(f: InfoFunction, selection: Sequence[int]) -> float:
         if key is None:
             val += sign * _slogdet_pd(sa, "selection")
         else:
-            cond = _conditioned_square(sa, _cut(_cross_of(f, key), A), _chol_of(f, key))
-            val += sign * _slogdet_pd(cond, "conditioned selection")
+            val += sign * _slogdet_pd(_conditioned_square(f, sa, A, key), "conditioned selection")
     return val
 
 
@@ -547,12 +607,27 @@ def _cut(block, rows: np.ndarray | None = None, cols: np.ndarray | None = None) 
     return block[rows, :] if cols is None else block[np.ix_(rows, cols)]
 
 
-def _conditioned_square(sa, cross, lo) -> np.ndarray:
-    """Schur complement S_A - S_AX (S_X + eps I)^-1 S_XA, given the lower
-    Cholesky factor ``lo`` of S_X + eps I (None when X is empty)."""
+def _conditioned_square(f: InfoFunction, sa: np.ndarray, A: np.ndarray, key: str) -> np.ndarray:
+    """Schur complement S_A|X = sa - S_AX (S_XX + eps I)^-1 S_XA of the
+    conditioning set X (``key`` as in ``_LOGDET_TERMS``), given
+    sa = S_A + eps I.
+
+    Above the rank r of F_X, S_AX = F_A F_X^T and the push-through identity
+    gives F_X^T (F_X F_X^T + eps I)^-1 F_X = I - eps (G + eps I)^-1 with
+    G = F_X^T F_X, so S_A|X = sa - F_A F_A^T + eps B^T B with B = L^-1 F_A^T
+    and L the factor of G + eps I: r x r, with no |X| x |X| array and no
+    use of the state's corrections.
+    """
+    lo = _chol_of(f, key)
     if lo is None:
         return sa
-    return sa - cross @ cho_solve((lo, True), cross.T)
+    cross = _cross_of(f, key)
+    if _above_rank(cross):
+        fa = cross.left[A]
+        b = solve_triangular(lo, fa.T, lower=True)
+        return sa - fa @ fa.T + f.eps * (b.T @ b)
+    s_ax = _cut(cross, A)
+    return sa - s_ax @ cho_solve((lo, True), s_ax.T)
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +781,7 @@ class SelectionState:
             ]
         elif kind == "flqmi":  # sum_A max_Q is modular, sum_Q max_A covers uq
             self._lin, self._cov, self._weight = _row_max(f.uq), f.uq, 1.0
+            self._cov_sums = np.add.reduce(np.maximum(f.uq, 0.0), axis=1)  # rises at A = {}
         elif kind in ("gc", "gccg"):
             self._lin = _row_sums(f.uu)  # = column sums: uu is symmetric
             if f.up is not None:
@@ -715,7 +791,8 @@ class SelectionState:
         if kind in ("gcmi", "div_gcmi"):
             self._lin = 2.0 * f.gc_lambda * _row_sums(f.uq)
         if kind in FL_FAMILY:
-            self._cov, self._weight = f._cov, (f.eta if kind == "div_gcmi" else 1.0)
+            self._cov, self._cov_sums = f._cov, f._cov_sums
+            self._weight = f.eta if kind == "div_gcmi" else 1.0
         if self._cov is not None:
             self._covered = np.zeros(self._cov.shape[1])  # max over A of cov[a]
             self._upcast = self._cov.dtype != np.float64
@@ -764,21 +841,31 @@ class SelectionState:
         float ``gain`` returns, so every greedy variant sees exactly the
         same float for the same (selection, x).
 
-        The log-det family reads its pivot arrays once for the whole batch.
-        That is bit-identical to the scalar path: it applies the same
-        elementwise ufuncs in the same order (maximum with the floor, log,
-        the sign product, then the terms summed left to right from 0) to
-        the same pivots, and an elementwise ufunc computes each element as
-        it computes a lone scalar.  The other kinds loop over the scalar
-        path.
+        Each batch applies the scalar path's elementwise ufuncs, in the
+        same order, to the same operands, and an elementwise ufunc computes
+        each element as it computes a lone scalar.  The log-det family reads
+        its pivot arrays once (maximum with the floor, log, the sign
+        product, then the terms summed left to right from 0); the modular
+        and cross parts are indexed once.  A coverage block's rises are read
+        row by row once something is chosen; at the empty selection each
+        rise is the entry itself, so its sum is the row sum the block's
+        build took with the same reduction.
         """
         candidates = np.asarray(candidates, dtype=np.intp)
-        if not self._terms:
+        if self._cov is not None and self.chosen:
             return np.array([self.gain(int(x)) for x in candidates])
         chosen = candidates[self._mask[candidates]]
         if chosen.size:
             raise ValueError(f"index {chosen[0]} already selected")
-        return sum(sign * term.gain(candidates) for sign, term in self._terms)
+        if self._terms:
+            return sum(sign * term.gain(candidates) for sign, term in self._terms)
+        g = None if self._lin is None else self._lin[candidates]
+        if self._cov is not None:
+            covered = self._cov_sums[candidates]
+            g = covered if g is None else g + self._weight * covered
+        if self._cross is not None:
+            g = g - self.f.gc_lambda * (self._diag[candidates] + 2.0 * self._cross[candidates])
+        return g
 
     def commit(self, x: int) -> float:
         """Add x to the selection; returns the realized gain."""

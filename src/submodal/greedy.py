@@ -6,11 +6,11 @@ unchosen point per pick and is exact on any objective.  Lazy greedy
 (Minoux 1978) re-evaluates only the top of a heap of stale gains, which
 is exact only when gains never rise: on the kinds in
 ``functions.SUBMODULAR`` it is bit-identical to naive under the
-lowest-index tie-break.  ``greedy_select`` runs whichever variant it is
-given; the harness rejects lazy on the other kinds.  The random-partition
-strategy trades approximation for a 1/p cut in quadratic kernel cost;
-its chunks run one after another, so one chunk's blocks are alive at a
-time.
+lowest-index tie-break.  ``greedy_select`` given lazy on another kind
+runs naive instead, and its result records the variant that ran.  The
+random-partition strategy trades approximation for a 1/p cut in
+quadratic kernel cost; its chunks run one after another, so one chunk's
+blocks are alive at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .functions import InfoFunction, SelectionState, evaluate, new_state
+from .functions import SUBMODULAR, InfoFunction, SelectionState, evaluate, new_state
 
 VARIANTS = ("naive", "lazy", "stochastic")
 
@@ -65,6 +65,7 @@ class SelectionResult:
     value: float
     evaluations: int
     pivot_floor_hits: int = 0  # log-det commits whose pivot hit the floor
+    variant: str | None = None  # greedy variant that ran; None for exhaustive_opt
 
 
 def default_variant(ground_size: int) -> str:
@@ -86,7 +87,11 @@ def _effective_budget(n: int, budget: int) -> int:
 
 
 def greedy_select(f: InfoFunction, cfg: GreedyConfig) -> SelectionResult:
-    """Maximize f under |A| <= budget with the configured variant."""
+    """Maximize f under |A| <= budget with the configured variant, or
+    naive where lazy is configured on a kind it is not exact on."""
+    variant = cfg.variant
+    if variant == "lazy" and f.kind not in SUBMODULAR:
+        variant = "naive"
     n = f.n
     if n == 0:
         raise ValueError("ground set is empty")
@@ -95,7 +100,7 @@ def greedy_select(f: InfoFunction, cfg: GreedyConfig) -> SelectionResult:
     evals = 0
     gains: list[float] = []
 
-    if cfg.variant == "lazy":
+    if variant == "lazy":
         # Heap of (-gain, index, fresh_at); an entry is fresh when its gain
         # was computed at the current selection size.  Valid because gains
         # are nonincreasing under submodularity.
@@ -116,7 +121,7 @@ def greedy_select(f: InfoFunction, cfg: GreedyConfig) -> SelectionResult:
         s = stochastic_sample_size(n, budget, cfg.epsilon)
         for _ in range(budget):
             cands = np.flatnonzero(~state._mask)
-            if cfg.variant == "stochastic":
+            if variant == "stochastic":
                 cands = np.sort(rng.choice(cands, size=min(s, len(cands)), replace=False))
             step = state.gains(cands)
             evals += len(cands)
@@ -129,6 +134,7 @@ def greedy_select(f: InfoFunction, cfg: GreedyConfig) -> SelectionResult:
         value=state.value,
         evaluations=evals,
         pivot_floor_hits=state.numerical_warnings,
+        variant=variant,
     )
 
 
@@ -163,6 +169,7 @@ def partitioned_select(
     gains: list[float] = []
     value = 0.0
     evals = hits = offset = 0
+    variant = cfg.variant
     # The same even split of budget <= n and of n: quota <= size (0 only when empty).
     for i, (size, quota) in enumerate(zip(partition_sizes(n, p), partition_quotas(budget, p))):
         ids = np.sort(order[offset : offset + size])
@@ -177,12 +184,14 @@ def partitioned_select(
         value += res.value
         evals += res.evaluations
         hits += res.pivot_floor_hits
+        variant = res.variant  # the same in every chunk: one kind
     return SelectionResult(
         chosen=tuple(chosen),
         gains=tuple(gains),
         value=value,
         evaluations=evals,
         pivot_floor_hits=hits,
+        variant=variant,
     )
 
 

@@ -385,7 +385,7 @@ def _submodular_select(
     except NumericalError as exc:
         raise NumericalError(f"round {rnd}: {exc}") from exc
     selected = np.sort(pool[np.asarray(res.chosen, dtype=np.intp)])
-    return selected, res, gcfg.variant, metadata, block_bytes
+    return selected, res, metadata, block_bytes
 
 
 def run_al(
@@ -423,9 +423,9 @@ def run_al(
                 config.method, model, split, min(config.budget, len(split.unlabeled)),
                 seed=_derive(config.seed, 3, rnd),
             )
-            res = variant = block_bytes = None
+            res = block_bytes = None
         else:
-            selected, res, variant, function_metadata, block_bytes = _submodular_select(
+            selected, res, function_metadata, block_bytes = _submodular_select(
                 config, split, model, guard, rnd
             )
         guard.permit(selected)  # labels revealed for the batch
@@ -441,7 +441,7 @@ def run_al(
             objective=None if res is None else float(res.value),
             elapsed=time.perf_counter() - t0,
             evaluations=None if res is None else res.evaluations,
-            variant=variant,
+            variant=None if res is None else res.variant,
             pivot_floor_hits=None if res is None else res.pivot_floor_hits,
             block_bytes=block_bytes,
             **metrics,

@@ -620,6 +620,23 @@ def test_factored_submodular_kinds_match_dense_property(seed, kind, n, d, n_q, n
         assert (lazy.chosen, lazy.gains) == (naive.chosen, naive.gains)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(SUBMODULAR - LOGDET_FAMILY)),
+    n=st.integers(2, 24),
+    d=st.integers(2, 8),
+    n_q=st.integers(0, 4),
+    n_p=st.integers(0, 4),
+    dups=st.integers(0, 3),
+)
+def test_batch_gains_equal_the_scalar_loop_property(seed, kind, n, d, n_q, n_p, dups):
+    # gc, gccg and gcmi batch every step, the coverage kinds the first.
+    g = np.random.default_rng(seed)
+    for f in dense_and_factored(kind, *random_sets(g, n, d, n_q, n_p, dups)):
+        batch_gains_match_scalar_loop(f, g.permutation(n))
+
+
 def test_coverage_drops_points_their_conditioning_covers(rng):
     # P duplicates pool points, so q_i <= p_i there and those columns are
     # dropped; gains and values still equal the closed form over all points.
@@ -708,6 +725,66 @@ class TestFloat32CoverageBlock:
         f_dense = self.pools(kind, rng, n=40)[0]
         assert f_dense._cov.dtype == np.float64
         assert build(kind, rescaled_cosine(rng, 10), q=[8, 9], p=[6, 7])._cov.dtype == np.float64
+
+
+def khatri_rao_sets(g, n, c=4, d1=8, n_q=5, n_p=3):
+    """Khatri-Rao parts of a pool (BADGE residuals and biased inputs) and
+    factors of Q and P at the same rank 1 + c * d1."""
+    resid = g.dirichlet(np.ones(c), size=n)
+    resid[np.arange(n), g.integers(c, size=n)] -= 1.0
+    xb = np.hstack([2.0 * g.standard_normal((n, d1 - 1)), np.ones((n, 1))])
+    q, p = (cosine_factors(g.standard_normal((m, c * d1))) for m in (n_q, n_p))
+    return khatri_rao_factors(resid, xb), q, p
+
+
+def fl_on_factors(kind, uu, q, p, **kw):
+    blocks = {"uu": uu}
+    if kind in NEEDS_Q:
+        blocks["uq"] = FactoredKernel(uu.left, q)
+    if kind in NEEDS_P:
+        blocks["up"] = FactoredKernel(uu.left, p)
+    return InfoFunction(kind=kind, **blocks, **kw)
+
+
+class TestCoverageBuild:
+    """The coverage block's build: the Khatri-Rao fill, and the row sums
+    that give the gains at the empty selection."""
+
+    @pytest.mark.parametrize("kind", sorted(FL_FAMILY))
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_first_gains_are_the_scalar_gains(self, kind, wide, rng, monkeypatch):
+        if wide:
+            monkeypatch.setattr(functions, "_FLOAT64_BLOCK_BYTES", 0)
+        u, q, p = random_sets(rng, 300, 6, 4, 2, 3)
+        parts_uu, fq, fp = khatri_rao_sets(rng, 300)
+        dense, factored = dense_and_factored(kind, u, q, p, eta=0.7)
+        with_parts = fl_on_factors(kind, parts_uu, fq, fp, eta=0.7)
+        for f in (factored, with_parts) if wide else (dense, factored, with_parts):
+            assert f._cov.dtype == (np.float32 if wide else np.float64)
+            state = new_state(f)
+            want = np.array([state.gain(x) for x in range(f.n)])
+            assert np.array_equal(state.gains(np.arange(f.n)), want)
+
+    @pytest.mark.parametrize("kind", sorted(FL_FAMILY))
+    def test_parts_block_equals_the_plain_factor_block(self, kind, rng):
+        # 300 rows span several row blocks of either fill.
+        uu, fq, fp = khatri_rao_sets(rng, 300)
+        got = fl_on_factors(kind, uu, fq, fp)._cov
+        want = fl_on_factors(kind, FactoredKernel(uu.left), fq, fp)._cov
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape and got.shape[1] > 0
+        assert np.abs(got - want).max() <= 3e-15
+        if kind in ("fl", "div_gcmi"):  # every column kept: the pinned diagonal
+            assert np.all(np.diagonal(got) == 1.0)
+
+    @pytest.mark.parametrize("kind", sorted(FL_FAMILY))
+    def test_lazy_equals_naive_on_a_float32_parts_block(self, kind, rng, monkeypatch):
+        monkeypatch.setattr(functions, "_FLOAT64_BLOCK_BYTES", 0)
+        f = fl_on_factors(kind, *khatri_rao_sets(rng, 400))
+        assert f._cov.dtype == np.float32
+        lazy = greedy_select(f, GreedyConfig(budget=50, variant="lazy"))
+        naive = greedy_select(f, GreedyConfig(budget=50, variant="naive"))
+        assert (lazy.chosen, lazy.gains) == (naive.chosen, naive.gains)
 
 
 class TestKhatriRaoPool:
@@ -817,6 +894,34 @@ class TestFactorSpaceConditioning:
         for size in (1, 8, 15):
             want = evaluate(dense, picks[:size])
             assert abs(evaluate(factored, picks[:size]) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("kind", ["logdetcg", "logdetcmi"])
+    def test_evaluate_above_the_rank_cuts_no_square_block(self, kind, rng, monkeypatch):
+        # |P| = 3r and |Q u P| = 3r + 5: evaluate conditions through the
+        # r x r Gram matrix, reading neither the corrections nor their eigh.
+        r = self.D + 1
+        u = rng.standard_normal((40, self.D))
+        q, p = rng.standard_normal((5, self.D)), self.with_duplicates(rng, 3 * r, self.D)
+        dense, factored = dense_and_factored(kind, u, q, p)
+        picks = greedy_select(factored, GreedyConfig(budget=15, variant="naive")).chosen
+        take = FactoredKernel.take
+
+        def guarded(block, rows=None, cols=None):
+            out = take(block, rows, cols)
+            if min(out.shape) >= p.shape[0]:
+                raise AssertionError(f"{out.shape} block cut from the factors")
+            return out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(FactoredKernel, "take", guarded)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        factored._w.clear()
+        for size in (1, 8, 15):
+            want = evaluate(dense, picks[:size])
+            got = evaluate(factored, picks[:size])
+            assert math.isclose(got, want, rel_tol=1e-6, abs_tol=1e-8)
 
     def test_a_set_three_times_the_rank_allocates_no_square_block(self, rng):
         d = 99

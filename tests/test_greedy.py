@@ -76,6 +76,18 @@ class TestGreedySelect:
                 assert a.chosen == b.chosen
                 assert a.gains == b.gains
 
+    def test_lazy_runs_naive_where_it_is_not_exact(self, rng):
+        joint = rescaled_cosine(rng, 30)
+        f = from_joint("logdetmi", joint, query=[28, 29])
+        lazy = greedy_select(f, GreedyConfig(budget=6, variant="lazy"))
+        naive = greedy_select(f, GreedyConfig(budget=6, variant="naive"))
+        assert (lazy.variant, naive.variant) == ("naive", "naive")
+        assert (lazy.chosen, lazy.gains, lazy.evaluations) == (
+            naive.chosen, naive.gains, naive.evaluations,
+        )
+        flvmi = from_joint("flvmi", joint, query=[28, 29])
+        assert greedy_select(flvmi, GreedyConfig(budget=6, variant="lazy")).variant == "lazy"
+
     def test_sample_size_formula(self):
         assert stochastic_sample_size(1000, 10, 0.01) == 461
 
@@ -147,6 +159,25 @@ class TestPartitioned:
         part = partitioned_select(make, 12, GreedyConfig(budget=3, variant="lazy"))
         assert part.chosen == direct.chosen
         assert part.gains == direct.gains
+
+    def test_result_records_the_variant_its_chunks_ran(self, rng):
+        joint = rescaled_cosine(rng, 24)
+        q = [22, 23]
+
+        def make(kind):
+            return lambda ids: from_joint(kind, joint[np.ix_(ids, ids)])
+
+        cfg = GreedyConfig(budget=6, variant="lazy", partitions=3, seed=5)
+        assert partitioned_select(make("fl"), 24, cfg).variant == "lazy"
+        assert partitioned_select(make("logdet"), 24, cfg).variant == "lazy"
+
+        def make_mi(ids):
+            return InfoFunction(
+                kind="logdetmi", uu=joint[np.ix_(ids, ids)], uq=joint[ids][:, q],
+                qq=joint[np.ix_(q, q)],
+            )
+
+        assert partitioned_select(make_mi, 24, cfg).variant == "naive"
 
     def test_returns_exact_budget_without_duplicates(self, rng):
         joint = rescaled_cosine(rng, 30)

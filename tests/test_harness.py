@@ -222,6 +222,10 @@ class TestRunAl:
         assert {(r.evaluations, r.variant) for r in base.records} == {(None, None)}
         assert base.summary["evaluations"] == 0
 
+    def test_partitioned_records_carry_the_variant_that_ran(self):
+        res = run_al(tiny_config(method="flvmi", optimizer={"partitions": 3}))
+        assert {r.variant for r in res.records} == {"lazy"}
+
     def test_records_count_pivot_floor_hits(self):
         # Ten originals, each in the pool four times: with eps=0 the 11th
         # pick must be a duplicate, whose residual pivot is ~0.
