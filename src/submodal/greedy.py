@@ -6,11 +6,11 @@ unchosen point per pick and is exact on any objective.  Lazy greedy
 (Minoux 1978) re-evaluates only the top of a heap of stale gains, which
 is exact only when gains never rise: on the kinds in
 ``functions.SUBMODULAR`` it is bit-identical to naive under the
-lowest-index tie-break.  ``greedy_select`` given lazy on another kind
-runs naive instead, and its result records the variant that ran.  The
-random-partition strategy trades approximation for a 1/p cut in
-quadratic kernel cost; its chunks run one after another, so one chunk's
-blocks are alive at a time.
+lowest-index tie-break.  The random-partition strategy trades
+approximation for a 1/p cut in quadratic kernel cost; its chunks run one
+after another.  ``plan`` alone picks a kind's variant and partition
+count; ``greedy_select`` given lazy where it is not exact runs naive by
+the same rule, and its result records the variant that ran.
 """
 
 from __future__ import annotations
@@ -23,15 +23,20 @@ from typing import Callable
 
 import numpy as np
 
-from .functions import SUBMODULAR, InfoFunction, SelectionState, evaluate, new_state
+from .functions import FL_FAMILY, LOGDET_FAMILY, SUBMODULAR, InfoFunction, evaluate, new_state
 
 VARIANTS = ("naive", "lazy", "stochastic")
 
-# Above this ground size the stochastic variant is the default for the
-# submodular kinds; below it lazy greedy wins on exactness at little cost.
-# The harness runs the log-det kinds naive at every size instead: their
-# batch gains are one array op, cheaper than the heap and always exact.
+# Above this chunk size ``plan`` makes stochastic greedy the ``auto``
+# variant; below it lazy greedy wins on exactness at little cost.  The
+# log-det kinds run naive at every size instead: their batch gains are
+# one array op, cheaper than the heap and always exact.
 STOCHASTIC_THRESHOLD = 20000
+
+# Auto partitioning gives each FL chunk at most this many points (only the
+# FL coverage block grows with n^2).  A chunk of 20000 with every column
+# kept is a 1.6 GB coverage block (float32; 3.2 GB in float64).
+_CHUNK_TARGET = 20000
 
 
 @dataclass(frozen=True)
@@ -66,10 +71,31 @@ class SelectionResult:
     evaluations: int
     pivot_floor_hits: int = 0  # log-det commits whose pivot hit the floor
     variant: str | None = None  # greedy variant that ran; None for exhaustive_opt
+    block_bytes: int = 0  # bytes of the largest coverage block built (0 without one)
 
 
 def default_variant(ground_size: int) -> str:
     return "stochastic" if ground_size > STOCHASTIC_THRESHOLD else "lazy"
+
+
+def _exact_variant(kind: str, variant: str) -> str:
+    """``variant``, or naive where it is lazy and lazy is not exact on ``kind``."""
+    return "naive" if variant == "lazy" and kind not in SUBMODULAR else variant
+
+
+def plan(kind: str, n: int, budget: int, variant: str = "auto", partitions: int = 0,
+         epsilon: float = 0.01, seed: int = 0) -> GreedyConfig:
+    """The concrete config for a ``kind`` function over ``n`` points.
+    ``partitions`` 0 splits only the FL kinds, into chunks of at most
+    ``_CHUNK_TARGET`` points; any count is clamped to [1, min(budget, n)].
+    ``auto`` runs the log-det kinds naive, the others ``default_variant``
+    of the chunk size."""
+    if partitions == 0:
+        partitions = math.ceil(n / _CHUNK_TARGET) if kind in FL_FAMILY else 1
+    partitions = max(1, min(partitions, budget, n))
+    if variant == "auto":
+        variant = "naive" if kind in LOGDET_FAMILY else default_variant(math.ceil(n / partitions))
+    return GreedyConfig(min(budget, n), _exact_variant(kind, variant), epsilon, seed, partitions)
 
 
 def stochastic_sample_size(n: int, budget: int, epsilon: float) -> int:
@@ -89,9 +115,7 @@ def _effective_budget(n: int, budget: int) -> int:
 def greedy_select(f: InfoFunction, cfg: GreedyConfig) -> SelectionResult:
     """Maximize f under |A| <= budget with the configured variant, or
     naive where lazy is configured on a kind it is not exact on."""
-    variant = cfg.variant
-    if variant == "lazy" and f.kind not in SUBMODULAR:
-        variant = "naive"
+    variant = _exact_variant(f.kind, cfg.variant)
     n = f.n
     if n == 0:
         raise ValueError("ground set is empty")
@@ -135,6 +159,7 @@ def greedy_select(f: InfoFunction, cfg: GreedyConfig) -> SelectionResult:
         evaluations=evals,
         pivot_floor_hits=state.numerical_warnings,
         variant=variant,
+        block_bytes=f.block_bytes,
     )
 
 
@@ -142,11 +167,6 @@ def partition_sizes(n: int, p: int) -> list[int]:
     """Even split of n into p parts, the remainder to the lowest parts."""
     base, extra = divmod(n, p)
     return [base + (1 if i < extra else 0) for i in range(p)]
-
-
-def partition_quotas(budget: int, p: int) -> list[int]:
-    """Per-chunk pick counts: floor(B/p) each, remainder to the lowest chunks."""
-    return partition_sizes(budget, p)
 
 
 def partitioned_select(
@@ -168,10 +188,10 @@ def partitioned_select(
     chosen: list[int] = []
     gains: list[float] = []
     value = 0.0
-    evals = hits = offset = 0
+    evals = hits = block_bytes = offset = 0
     variant = cfg.variant
     # The same even split of budget <= n and of n: quota <= size (0 only when empty).
-    for i, (size, quota) in enumerate(zip(partition_sizes(n, p), partition_quotas(budget, p))):
+    for i, (size, quota) in enumerate(zip(partition_sizes(n, p), partition_sizes(budget, p))):
         ids = np.sort(order[offset : offset + size])
         offset += size
         if quota == 0:
@@ -184,6 +204,7 @@ def partitioned_select(
         value += res.value
         evals += res.evaluations
         hits += res.pivot_floor_hits
+        block_bytes = max(block_bytes, res.block_bytes)
         variant = res.variant  # the same in every chunk: one kind
     return SelectionResult(
         chosen=tuple(chosen),
@@ -192,6 +213,7 @@ def partitioned_select(
         evaluations=evals,
         pivot_floor_hits=hits,
         variant=variant,
+        block_bytes=block_bytes,
     )
 
 

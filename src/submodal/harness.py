@@ -23,8 +23,6 @@ from scipy.special import stdtrit
 from . import scenarios as sc
 from . import similarity as sim
 from .functions import (
-    FL_FAMILY,
-    LOGDET_FAMILY,
     READS_P,
     READS_Q,
     SUBMODULAR,
@@ -32,7 +30,7 @@ from .functions import (
     NumericalError,
     canonical_kind,
 )
-from .greedy import VARIANTS, GreedyConfig, default_variant, greedy_select, partitioned_select
+from .greedy import VARIANTS, greedy_select, partitioned_select, plan
 from .surrogate import (
     SurrogateModel,
     TrainConfig,
@@ -51,7 +49,7 @@ OPTIMIZERS = ("auto",) + VARIANTS
 class OptimizerConfig:
     variant: str = "auto"  # auto | naive | lazy (submodular kinds only) | stochastic
     sg_epsilon: float = 0.01
-    partitions: int = 0  # 0 = auto: partition the FL kinds' pools above _CHUNK_TARGET points
+    partitions: int = 0  # 0 = auto: greedy.plan partitions only the FL kinds' large pools
 
     def __post_init__(self):
         if self.variant not in OPTIMIZERS:
@@ -119,6 +117,7 @@ class RunConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
+        self.scenario_config()  # a bad scenario_params field fails here, before any run
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.budget < 1:
@@ -153,15 +152,24 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def scenario_config(self):
+        """The scenario's config: ``scenario_params`` over its defaults."""
+        cfg_cls = sc.SPLITS[self.scenario][0]
+        return _from_fields(cfg_cls, self.scenario_params, f"{self.scenario} scenario", seed=self.seed)
+
 
 def _from_fields(cls, params, what: str, **defaults):
     """``cls(**defaults, **params)``, with a ValueError (exit 2) for a
-    ``params`` that is no mapping or names a field ``cls`` lacks."""
+    ``params`` that is no mapping, names a field ``cls`` lacks or gives a
+    field declared ``int`` a value that is no int (a bool included)."""
     if not isinstance(params, Mapping):
         raise ValueError(f"{what} must be a mapping of fields, got {params!r}")
     unknown = set(params) - set(cls.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    for name, value in params.items():
+        if cls.__dataclass_fields__[name].type in (int, "int") and type(value) is not int:
+            raise ValueError(f"{what} field {name} must be an integer, got {value!r}")
     try:
         return cls(**{**defaults, **params})
     except (TypeError, AttributeError) as exc:  # a value of the wrong type
@@ -183,8 +191,8 @@ class RoundRecord:
     evaluations: int | None  # marginal-gain evaluations; None for baselines
     variant: str | None  # greedy variant that ran; None for baselines
     pivot_floor_hits: int | None  # log-det pivots clamped to the floor; None for baselines
-    # Bytes of the largest coverage block built over all chunks (float32
-    # above functions._FLOAT64_BLOCK_BYTES); 0 without one, None for baselines.
+    # SelectionResult.block_bytes: the largest coverage block over all chunks
+    # (float32 above functions._FLOAT64_BLOCK_BYTES); 0 without one, None for baselines.
     block_bytes: int | None
 
     def to_dict(self) -> dict:
@@ -225,11 +233,8 @@ class LabelGuard:
 
 def build_scenario(config: RunConfig):
     """Construct the split plus a matched balanced test draw."""
-    cfg_cls, build = sc.SPLITS[config.scenario]
-    scenario_cfg = _from_fields(
-        cfg_cls, config.scenario_params, f"{config.scenario} scenario", seed=config.seed
-    )
-    split = build(scenario_cfg)
+    scenario_cfg = config.scenario_config()
+    split = sc.SPLITS[config.scenario][1](scenario_cfg)
 
     eval_classes = list(split.id_classes) if split.ood_classes else list(range(split.num_classes))
     counts = [config.test_per_class if c in eval_classes else 0 for c in range(split.num_classes)]
@@ -298,29 +303,6 @@ def compute_metrics(
     }
 
 
-# Auto partitioning gives each FL chunk at most this many pool points.  A
-# chunk of 20000 with every column kept is a 1.6 GB coverage block (float32;
-# it would be 3.2 GB in float64).
-_CHUNK_TARGET = 20000
-
-
-def _resolve_partitions(config: RunConfig, kind: str, n_unlabeled: int) -> int:
-    p = config.optimizer.partitions
-    if p == 0:  # only the FL coverage block grows with n^2
-        p = math.ceil(n_unlabeled / _CHUNK_TARGET) if kind in FL_FAMILY else 1
-    return max(1, min(p, config.budget, n_unlabeled))
-
-
-def _resolve_variant(config: RunConfig, kind: str, chunk_size: int) -> str:
-    """``auto`` runs the log-det kinds naive at every size: exact, and their
-    batch gains cost one array op per pick.  Other kinds get lazy greedy,
-    or stochastic above ``STOCHASTIC_THRESHOLD``."""
-    v = config.optimizer.variant
-    if v != "auto":
-        return v
-    return "naive" if kind in LOGDET_FAMILY else default_variant(chunk_size)
-
-
 def _embed(model, split, guard, indices) -> np.ndarray:
     feats = split.features[indices]
     labels = _collapse(guard.fetch(indices), split)
@@ -354,38 +336,30 @@ def _submodular_select(
 
     # Chunks differ only in their ground set; the summary reports the pool.
     metadata = {}
-    block_bytes = 0
 
     def make_function(local_ids: np.ndarray | None) -> InfoFunction:
         # Every kind gets rank-(D+1) factors of the pool, query and
         # conditioning kernels, never a dense n x n or |P| x |P| block;
         # None is the whole pool.
-        nonlocal block_bytes
         ids = slice(None) if local_ids is None else local_ids
         uu = sim.khatri_rao_factors(resid[ids], xb[ids])
         blocks = {name: sim.FactoredKernel(uu.left, fs) for name, fs in side_factors.items()}
         f = InfoFunction(kind=kind, uu=uu, **blocks, **asdict(config.function))
         metadata.update(f.metadata, ground_size=len(pool))
-        block_bytes = max(block_bytes, f.block_bytes)
         return f
 
-    p = _resolve_partitions(config, kind, len(pool))
-    gcfg = GreedyConfig(
-        budget=min(config.budget, len(pool)),
-        variant=_resolve_variant(config, kind, math.ceil(len(pool) / p)),
-        epsilon=config.optimizer.sg_epsilon,
-        seed=_derive(config.seed, 2, rnd),
-        partitions=p,
-    )
+    opt = config.optimizer
+    gcfg = plan(kind, len(pool), config.budget, opt.variant, opt.partitions, opt.sg_epsilon,
+                _derive(config.seed, 2, rnd))
     try:
-        if p == 1:
+        if gcfg.partitions == 1:
             res = greedy_select(make_function(None), gcfg)
         else:
             res = partitioned_select(make_function, len(pool), gcfg)
     except NumericalError as exc:
         raise NumericalError(f"round {rnd}: {exc}") from exc
     selected = np.sort(pool[np.asarray(res.chosen, dtype=np.intp)])
-    return selected, res, metadata, block_bytes
+    return selected, res, metadata
 
 
 def run_al(
@@ -423,9 +397,9 @@ def run_al(
                 config.method, model, split, min(config.budget, len(split.unlabeled)),
                 seed=_derive(config.seed, 3, rnd),
             )
-            res = block_bytes = None
+            res = None
         else:
-            selected, res, function_metadata, block_bytes = _submodular_select(
+            selected, res, function_metadata = _submodular_select(
                 config, split, model, guard, rnd
             )
         guard.permit(selected)  # labels revealed for the batch
@@ -443,7 +417,7 @@ def run_al(
             evaluations=None if res is None else res.evaluations,
             variant=None if res is None else res.variant,
             pivot_floor_hits=None if res is None else res.pivot_floor_hits,
-            block_bytes=block_bytes,
+            block_bytes=None if res is None else res.block_bytes,
             **metrics,
         )
         records.append(record)

@@ -11,9 +11,9 @@ from submodal.greedy import (
     default_variant,
     exhaustive_opt,
     greedy_select,
-    partition_quotas,
     partition_sizes,
     partitioned_select,
+    plan,
     stochastic_sample_size,
 )
 from submodal.similarity import cosine_block
@@ -45,6 +45,47 @@ class TestConfig:
     def test_default_variant_switches_at_threshold(self):
         assert default_variant(20000) == "lazy"
         assert default_variant(20001) == "stochastic"
+
+
+class TestPlan:
+    @pytest.mark.parametrize("kind", ["logdet", "logdetmi", "logdetcg", "logdetcmi"])
+    def test_auto_runs_logdet_kinds_naive_at_every_size(self, kind):
+        for n in (1000, 50000):
+            assert plan(kind, n, 125).variant == "naive"
+
+    def test_auto_runs_other_kinds_lazy_then_stochastic(self):
+        assert plan("flcmi", 14000, 125).variant == "lazy"
+        assert plan("flcmi", 50000, 125, partitions=1).variant == "stochastic"
+
+    def test_explicit_variant_is_kept(self):
+        assert plan("logdetmi", 1000, 125, "stochastic").variant == "stochastic"
+
+    def test_logdet_kinds_never_partition(self):
+        for kind in ("logdetmi", "gc", "gccg", "flqmi"):
+            assert plan(kind, 50000, 500).partitions == 1
+        assert plan("fl", 50000, 500).partitions == 3
+
+    def test_fl_chunks_below_the_threshold_run_lazy(self):
+        cfg = plan("fl", 50000, 500)
+        assert (cfg.partitions, cfg.variant) == (3, "lazy")  # chunks of 16667
+
+    def test_one_gc_partition_runs_stochastic(self):
+        cfg = plan("gc", 50000, 500)
+        assert (cfg.partitions, cfg.variant) == (1, "stochastic")
+
+    def test_explicit_partitions_are_clamped_to_budget_and_ground(self):
+        assert plan("fl", 100, 10, partitions=50).partitions == 10
+        cfg = plan("fl", 5, 10, partitions=50)
+        assert (cfg.budget, cfg.partitions) == (5, 5)
+
+    @pytest.mark.parametrize("kind", ["logdetmi", "logdetcmi"])
+    def test_explicit_lazy_runs_naive_where_it_is_not_exact(self, kind):
+        assert plan(kind, 1000, 125, "lazy").variant == "naive"
+        assert plan("logdetcg", 1000, 125, "lazy").variant == "lazy"
+
+    def test_seed_and_epsilon_pass_through(self):
+        cfg = plan("gc", 100, 10, "stochastic", 2, 0.2, 7)
+        assert (cfg.epsilon, cfg.seed, cfg.partitions) == (0.2, 7, 2)
 
 
 class TestGreedySelect:
@@ -141,8 +182,8 @@ class TestExhaustive:
 
 class TestPartitioned:
     def test_quota_arithmetic(self):
-        assert partition_quotas(7, 3) == [3, 2, 2]
-        assert partition_quotas(25000, 50) == [500] * 50
+        assert partition_sizes(7, 3) == [3, 2, 2]
+        assert partition_sizes(25000, 50) == [500] * 50
         assert partition_sizes(10, 3) == [4, 3, 3]
 
     def test_single_partition_matches_greedy_select(self, rng):
@@ -178,6 +219,20 @@ class TestPartitioned:
             )
 
         assert partitioned_select(make_mi, 24, cfg).variant == "naive"
+
+    def test_result_records_the_largest_chunk_block(self, rng):
+        joint = rescaled_cosine(rng, 25)
+        built = []
+
+        def make(ids):
+            built.append(from_joint("fl", joint[np.ix_(ids, ids)]))
+            return built[-1]
+
+        res = partitioned_select(make, 25, GreedyConfig(budget=6, partitions=3, seed=1))
+        assert res.block_bytes == max(f.block_bytes for f in built) == 9 * 9 * 8
+        assert greedy_select(built[0], GreedyConfig(budget=2)).block_bytes == 9 * 9 * 8
+        gc = from_joint("gc", joint)
+        assert greedy_select(gc, GreedyConfig(budget=2)).block_bytes == 0
 
     def test_returns_exact_budget_without_duplicates(self, rng):
         joint = rescaled_cosine(rng, 30)

@@ -15,8 +15,6 @@ from submodal.harness import (
     LabelGuard,
     OptimizerConfig,
     RunConfig,
-    _resolve_partitions,
-    _resolve_variant,
     build_scenario,
     penalty_matrix,
     run_al,
@@ -73,25 +71,6 @@ class TestRunConfig:
             tiny_config(method=method, optimizer={"variant": variant})
         tiny_config(method="logdetcg", optimizer={"variant": "lazy"})
         tiny_config(method="random", optimizer={"variant": "lazy"})
-
-
-class TestResolveVariant:
-    @pytest.mark.parametrize("kind", ["logdet", "logdetmi", "logdetcg", "logdetcmi"])
-    def test_auto_runs_logdet_kinds_naive_at_every_size(self, kind):
-        for n in (1000, 50000):
-            assert _resolve_variant(RunConfig(), kind, n) == "naive"
-
-    def test_auto_runs_other_kinds_lazy_then_stochastic(self):
-        assert _resolve_variant(RunConfig(), "flcmi", 14000) == "lazy"
-        assert _resolve_variant(RunConfig(), "flcmi", 50000) == "stochastic"
-
-    def test_explicit_variant_is_kept(self):
-        cfg = RunConfig(optimizer=OptimizerConfig(variant="stochastic"))
-        assert _resolve_variant(cfg, "logdetmi", 1000) == "stochastic"
-
-    def test_auto_logdetmi_run_records_naive(self):
-        res = run_al(tiny_config(method="logdetmi", rounds=1))
-        assert [r.variant for r in res.records] == ["naive"]
 
 
 # Table 1: the split fields feeding each kind's query set Q and
@@ -222,6 +201,10 @@ class TestRunAl:
         assert {(r.evaluations, r.variant) for r in base.records} == {(None, None)}
         assert base.summary["evaluations"] == 0
 
+    def test_auto_logdetmi_run_records_naive(self):
+        res = run_al(tiny_config(method="logdetmi", rounds=1))
+        assert [r.variant for r in res.records] == ["naive"]
+
     def test_partitioned_records_carry_the_variant_that_ran(self):
         res = run_al(tiny_config(method="flvmi", optimizer={"partitions": 3}))
         assert {r.variant for r in res.records} == {"lazy"}
@@ -343,12 +326,6 @@ class TestRunAl:
 
 
 class TestFactoredKernels:
-    def test_logdet_kinds_never_partition(self):
-        cfg = RunConfig(budget=500)
-        for kind in ("logdetmi", "gc", "gccg", "flqmi"):
-            assert _resolve_partitions(cfg, kind, 50000) == 1
-        assert _resolve_partitions(cfg, "fl", 50000) == 3
-
     @staticmethod
     def run_without_pool_kernel(cfg, monkeypatch):
         """run_al with similarity.cosine_kernel raising on any pool x pool request."""
@@ -646,6 +623,31 @@ class TestConfigSections:
     def test_negative_partitions_rejected(self):
         with pytest.raises(ValueError, match="partitions must be >= 0"):
             OptimizerConfig(partitions=-3)
+
+    # Integer fields of every section, given a float or a bool.
+    _NON_INTEGERS = [
+        "optimizer.partitions=1.5", "rounds=1.5", "model.epochs=2.5", "seed=1.5",
+        "scenario_params.num_classes=4.0", "scenario_params.unlabeled_common=200.5",
+        "budget=2.5", "budget=true",
+    ]
+
+    @pytest.mark.parametrize("item", _NON_INTEGERS)
+    def test_integer_field_rejects_a_non_integer(self, item, tmp_path, capsys):
+        from submodal.cli import _assign
+
+        key, _, raw = item.partition("=")
+        payload = {"scenario": "rare", "method": "flqmi", "scenario_params": {"unlabeled_common": 200}}
+        _assign(payload, key, json.loads(raw))
+        with pytest.raises(ValueError, match=f"{key.split('.')[-1]} must be an integer"):
+            RunConfig.from_dict(payload)
+        rc = cli_main(
+            ["run", "--scenario", "rare", "--function", "flqmi",
+             "--set", "scenario_params.unlabeled_common=200", "--set", item,
+             "--output-dir", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "records.jsonl").exists()
 
     @pytest.mark.parametrize(
         "flags",
