@@ -36,10 +36,8 @@ coverage c_i(s) = max(min(s, q_i) - p_i, 0), q_i = max_Q S_i (no min
 without Q) and p_i = max_P S_i (no shift without P).  ``InfoFunction``
 builds the coverage block cov[x, i] = c_i(S_xi) once, keeping only the
 columns with q_i > p_i (c_i is identically 0 on the others); gains,
-commits and ``evaluate`` read nothing else.  On a pool factor with
-Khatri-Rao parts (R, X) the block is filled from the parts,
-(1 + (R R^T) * (X X^T)) / 2, two GEMMs of inner dimension C and d + 1
-instead of one of C (d + 1) + 1.  The build also keeps the block's row
+commits and ``evaluate`` read nothing else.  A factored block is filled
+from ``FactoredKernel.row_blocks``.  The build also keeps the block's row
 sums, the gains at the empty selection.  A block built from factors
 whose float64 form would exceed ``_FLOAT64_BLOCK_BYTES`` is stored in
 float32 (each entry the float64 value rounded once); the running maxima,
@@ -53,12 +51,9 @@ row sums F (F_X^T 1) and one kernel row per commit, and flqmi/gcmi cut
 their small dense n x |Q| block from the factors.  On factors the log-det
 kinds condition on Q and P from F_Q and F_P alone (qq, pp and qp are not
 given): each set becomes a correction W of at most D+1 rows, and no
-|X| x |X| block is formed above that rank.  A pool factor that carries
-Khatri-Rao parts (``khatri_rao_factors``, as the harness builds it) lets
-each log-det commit read the parts instead of F (see
-``_FactoredShiftedKernel``).  ``evaluate`` conditions on a set above the
-rank through the r x r Gram matrix of its factors too, with its own
-Cholesky solve.  Dense blocks remain the reference input of
+|X| x |X| block is formed above that rank.  ``evaluate`` conditions on
+a set above the rank through the r x r Gram matrix of its factors too,
+with its own Cholesky solve.  Dense blocks remain the reference input of
 ``from_joint``.
 
 A ``SelectionState`` memoizes gains in one of two forms, so that they are
@@ -124,20 +119,6 @@ _LOGDET_TERMS = {
 }
 
 _PIVOT_FLOOR = 1e-12
-
-# Rows per block when a factored block is multiplied out: each block of the
-# coverage matrix (rows x kept columns) is transformed right after its GEMM,
-# while still in cache.  Smaller blocks measured slower, larger no faster.
-_BLOCK_ROWS = 256
-
-# Rows per block of a coverage matrix filled from Khatri-Rao parts.  Its two
-# GEMMs have inner dimensions C and d + 1, so the fill is bound by its passes
-# over the two staging buffers, not by the GEMMs.  A 14000 x 14000 float32
-# fill took 1.5-1.7 s with 64 rows, 1.6-1.8 s with 32 or 128 and 2.0 s with
-# 256 (2 vCPUs, OpenBLAS with 2 threads); with the other vCPU busy, 64 and
-# 256 rows took 3.2-3.5 s and 32 rows 4.4-4.8 s (twice the small GEMMs, each
-# waiting on both threads).  At 5719 columns 32-256 rows were alike.
-_PARTS_BLOCK_ROWS = 64
 
 # A factored coverage block whose float64 form would exceed this many bytes
 # is stored in float32.  Below it the block is no larger than the rest of a
@@ -412,16 +393,10 @@ def _coverage_block(f: InfoFunction) -> tuple[np.ndarray, np.ndarray]:
     """cov[x, k] = c_i(S_xi) for the kept columns i = keep[k] (q_i > p_i),
     and its row sums.
 
-    Filled in row blocks: the raw similarities go into the output rows,
-    then the transform runs in place.  A pool factor with Khatri-Rao parts
-    (R, X) gives them as (1 + (R_rows R_keep^T) * (X_rows X_keep^T)) / 2,
-    two GEMMs of inner dimension C and d + 1 through a second staging
-    buffer of ``_PARTS_BLOCK_ROWS`` rows; a plain factor F gives them as
-    F_rows F_keep^T, and a dense block by a cut.  The pinned unit diagonal
-    of a factored uu is set by index.  The clamp at 0 matches the state's
-    zero-initialized maxima.  A float32 block (factored, above
-    ``_FLOAT64_BLOCK_BYTES``) runs the same float64 steps in a reused
-    staging buffer; the clamp stores into the block.
+    A factored uu gives the raw similarities through
+    ``FactoredKernel.row_blocks``, a dense one as one cut; each block is
+    transformed in place and stored by the clamp at 0 (the state's maxima
+    start at 0), cast if the block is float32.
 
     Each row's sum is taken while its rows are still in cache, over the
     float64 values of the stored entries with the ufunc a gain sums its
@@ -437,60 +412,35 @@ def _coverage_block(f: InfoFunction) -> tuple[np.ndarray, np.ndarray]:
     q = None if q is None else q[keep]
     p = None if p is None else p[keep]
     factored = isinstance(f.uu, FactoredKernel)
-    parts = f.uu.parts if factored else None
-    # All kept: a transposed view has the layout of the gathered copy.
-    every = slice(None) if keep.size == n else keep
-    step = _BLOCK_ROWS
-    if parts is not None:
-        r, x = parts
-        # Halving is exact: (R/2) R^T * X X^T + 1/2 rounds as (1 + R R^T * X X^T) / 2.
-        half_r = 0.5 * r
-        r_cols, x_cols = r[every].T, x[every].T
-        step = _PARTS_BLOCK_ROWS
-        aux = np.empty((min(n, step), keep.size))
-    elif factored:
-        cols = f.uu.left[every].T
+    if factored:  # all kept: None reads the factors in place
+        blocks = f.uu.row_blocks(None if keep.size == n else keep)
+    else:
+        blocks = [(0, n, np.take(f.uu, keep, axis=1))]
     wide = factored and n * keep.size * 8 > _FLOAT64_BLOCK_BYTES
     cov = np.empty((n, keep.size), dtype=np.float32 if wide else np.float64)
     sums = np.empty(n)
-    stage = np.empty((min(n, step), keep.size)) if wide else None
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        blk = stage[: hi - lo] if wide else cov[lo:hi]
-        if parts is not None:
-            np.matmul(half_r[lo:hi], r_cols, out=blk)
-            blk *= np.matmul(x[lo:hi], x_cols, out=aux[: hi - lo])
-            blk += 0.5
-        elif factored:
-            np.matmul(f.uu.left[lo:hi], cols, out=blk)
-        else:
-            np.take(f.uu[lo:hi], keep, axis=1, out=blk)
-        if factored:
-            a, b = np.searchsorted(keep, (lo, hi))
-            blk[keep[a:b] - lo, np.arange(a, b)] = 1.0
+    for lo, hi, blk in blocks:
         if q is not None:
             np.minimum(blk, q, out=blk)
         if p is not None:
             np.subtract(blk, p, out=blk)
         np.maximum(blk, 0.0, out=cov[lo:hi])  # the cast on store, if any
-        if wide:
-            np.copyto(blk, cov[lo:hi])  # the stored values, upcast exactly
+        np.copyto(blk, cov[lo:hi])  # the stored values, upcast exactly
         np.add.reduce(blk, axis=1, out=sums[lo:hi])
     return cov, sums
 
 
 def _row_max(block) -> np.ndarray:
     """Row maxima of a U x X block (0 where X is empty); a factored block
-    is multiplied out one row block at a time."""
+    is read through its row blocks."""
     n, m = block.shape
     if m == 0:
         return np.zeros(n)
     if not isinstance(block, FactoredKernel):
         return block.max(axis=1)
     out = np.empty(n)
-    for lo in range(0, n, _BLOCK_ROWS):
-        rows = np.arange(lo, min(n, lo + _BLOCK_ROWS))
-        out[rows] = block.take(rows).max(axis=1)
+    for lo, hi, blk in block.row_blocks():
+        blk.max(axis=1, out=out[lo:hi])
     return out
 
 
@@ -680,44 +630,31 @@ class _FactoredShiftedKernel:
     1 + eps - |W F_j|^2.  Columns are given in the basis F:
     ``col(j)`` = F_j - W^T (W F_j).  That drops eps e_j and the pinned
     unit diagonal, which touch only row j; diag() carries them, and once
-    j is committed its row is never read again.
-
-    On a Khatri-Rao factor F = [1, R outer X] / sqrt(2) (``uu.parts`` =
-    (R, X), n x C and n x (d+1)), ``expand`` reads the parts instead of F:
-    F a = (a_0 + rowsum((X A^T) * R)) / sqrt(2) with A = a[1:] as C x (d+1),
-    C + d + 1 values per point instead of C (d+1) + 1.
+    j is committed its row is never read again; ``expand`` is F a.
     """
 
     def __init__(self, uu: FactoredKernel, eps: float, w=None):
-        self.f = uu.left
-        self.parts = uu.parts
+        self.uu = uu
         self.eps = eps
         self.w = w
-        self.rank = self.f.shape[1]
+        self.rank = uu.left.shape[1]
 
     def diag(self) -> np.ndarray:
-        d = np.full(self.f.shape[0], 1.0 + self.eps)
+        d = np.full(self.uu.shape[0], 1.0 + self.eps)
         if self.w is not None:
-            fw = self.f @ self.w.T
+            fw = self.uu.left @ self.w.T
             d -= np.einsum("ij,ij->i", fw, fw)
         return d
 
     def col(self, j: int) -> np.ndarray:
-        fj = self.f[j]
+        fj = self.uu.left[j]
         return fj.copy() if self.w is None else fj - self.w.T @ (self.w @ fj)
 
     def at(self, coords: np.ndarray, j: int) -> np.ndarray:
-        return self.f[j] @ coords
+        return self.uu.left[j] @ coords
 
     def expand(self, coords: np.ndarray) -> np.ndarray:
-        if self.parts is None:
-            return self.f @ coords
-        r, x = self.parts
-        t = x @ coords[1:].reshape(r.shape[1], x.shape[1]).T
-        out = np.einsum("ij,ij->i", t, r)
-        out += coords[0]
-        out *= math.sqrt(0.5)
-        return out
+        return self.uu.dot(coords)
 
 
 class _LogDetTerm:
@@ -795,7 +732,6 @@ class SelectionState:
             self._weight = f.eta if kind == "div_gcmi" else 1.0
         if self._cov is not None:
             self._covered = np.zeros(self._cov.shape[1])  # max over A of cov[a]
-            self._upcast = self._cov.dtype != np.float64
 
     # -- public API -----------------------------------------------------
 
@@ -820,13 +756,10 @@ class SelectionState:
         if self._cov is None:
             g = self._lin[x]
         else:
-            if self._upcast:
-                # Upcast first: a mixed float32 - float64 ufunc ran about
-                # 30% slower than this copy and in-place subtract (same values).
-                rise = self._cov[x].astype(np.float64)
-                rise -= self._covered
-            else:
-                rise = self._cov[x] - self._covered
+            # Upcast first: a mixed float32 - float64 ufunc ran about 30%
+            # slower than this copy and in-place subtract (same values).
+            rise = self._cov[x].astype(np.float64)
+            rise -= self._covered
             # ndarray.sum's own ufunc, without its Python wrapper: same floats.
             covered = np.add.reduce(np.maximum(rise, 0.0, out=rise))
             if self._lin is None:

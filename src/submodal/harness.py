@@ -158,18 +158,24 @@ class RunConfig:
         return _from_fields(cfg_cls, self.scenario_params, f"{self.scenario} scenario", seed=self.seed)
 
 
+# The values each numeric field declaration takes (never a bool), and their name.
+_NUMERIC = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+            "float | None": ((int, float, type(None)), "a number or null")}
+
+
 def _from_fields(cls, params, what: str, **defaults):
     """``cls(**defaults, **params)``, with a ValueError (exit 2) for a
     ``params`` that is no mapping, names a field ``cls`` lacks or gives a
-    field declared ``int`` a value that is no int (a bool included)."""
+    numeric field (``_NUMERIC``) a value of another type."""
     if not isinstance(params, Mapping):
         raise ValueError(f"{what} must be a mapping of fields, got {params!r}")
     unknown = set(params) - set(cls.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
     for name, value in params.items():
-        if cls.__dataclass_fields__[name].type in (int, "int") and type(value) is not int:
-            raise ValueError(f"{what} field {name} must be an integer, got {value!r}")
+        types, noun = _NUMERIC.get(cls.__dataclass_fields__[name].type, (object, None))
+        if noun and (isinstance(value, bool) or not isinstance(value, types)):
+            raise ValueError(f"{what} field {name} must be {noun}, got {value!r}")
     try:
         return cls(**{**defaults, **params})
     except (TypeError, AttributeError) as exc:  # a value of the wrong type

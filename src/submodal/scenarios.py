@@ -115,8 +115,16 @@ def make_blobs(
 # ---------------------------------------------------------------------------
 
 
+class _SplitConfig:
+    """Base of the split configs, which check their ranges before any run."""
+
+    def __post_init__(self):
+        if self.dim < 2:
+            raise ValueError(f"dim must be >= 2, got {self.dim}")
+
+
 @dataclass(frozen=True)
-class StandardSplitConfig:
+class StandardSplitConfig(_SplitConfig):
     num_classes: int = 10
     dim: int = 32
     spread: float = 0.5
@@ -127,7 +135,7 @@ class StandardSplitConfig:
 
 
 @dataclass(frozen=True)
-class RareSplitConfig:
+class RareSplitConfig(_SplitConfig):
     """Rare-class layout; the imbalance factor ties the unlabeled counts
     (common unlabeled = rho * rare unlabeled), labeled counts follow the
     fixed per-class layout."""
@@ -143,9 +151,14 @@ class RareSplitConfig:
     unlabeled_common: int = 3000
     rare_query_per_class: int = 3
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.rho < 1:
+            raise ValueError(f"imbalance factor must be >= 1, got {self.rho}")
+
 
 @dataclass(frozen=True)
-class RedundantSplitConfig:
+class RedundantSplitConfig(_SplitConfig):
     unique_count: int = 5000
     dup_fraction: float = 0.2
     redundancy_factor: int = 10
@@ -155,9 +168,16 @@ class RedundantSplitConfig:
     spread: float = 0.5
     seed: int = 0
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not (0.0 <= self.dup_fraction <= 1.0):
+            raise ValueError(f"dup_fraction must lie in [0, 1], got {self.dup_fraction}")
+        if self.redundancy_factor < 1:
+            raise ValueError(f"redundancy factor must be >= 1, got {self.redundancy_factor}")
+
 
 @dataclass(frozen=True)
-class OODSplitConfig:
+class OODSplitConfig(_SplitConfig):
     num_id_classes: int = 8
     num_ood_classes: int = 2
     labeled_per_id: int = 200
@@ -207,8 +227,6 @@ def build_standard_split(cfg: StandardSplitConfig) -> ScenarioSplit:
 
 
 def build_rare_split(cfg: RareSplitConfig) -> ScenarioSplit:
-    if cfg.rho < 1:
-        raise ValueError(f"imbalance factor must be >= 1, got {cfg.rho}")
     classes = cfg.num_classes
     rare = tuple(range(classes - classes // 2, classes))
     common = [
@@ -227,10 +245,6 @@ def build_rare_split(cfg: RareSplitConfig) -> ScenarioSplit:
 
 
 def build_redundant_split(cfg: RedundantSplitConfig) -> ScenarioSplit:
-    if not (0.0 <= cfg.dup_fraction <= 1.0):
-        raise ValueError(f"dup_fraction must lie in [0, 1], got {cfg.dup_fraction}")
-    if cfg.redundancy_factor < 1:
-        raise ValueError(f"redundancy factor must be >= 1, got {cfg.redundancy_factor}")
     layouts = [
         [("labeled", l), ("unlabeled", u)]
         for l, u in zip(

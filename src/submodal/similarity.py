@@ -12,8 +12,9 @@ A BADGE gradient embedding g = r outer x (residual r = p - e_y over C
 classes, biased input x = [x; 1]) has cos(g_i, g_j) = cos(r_i, r_j)
 cos(x_i, x_j), so its factor is F = [1, r_hat outer x_hat] / sqrt(2) in
 Khatri-Rao form.  ``khatri_rao_factors`` builds F from the two parts,
-without the n x C(d+1) embedding, and keeps the parts beside it: a
-product F a then reads C + d + 1 values per row instead of C(d+1) + 1.
+without the n x C(d+1) embedding, and keeps the parts beside it for
+``FactoredKernel``'s products alone: ``dot`` and ``row_blocks`` then read
+C + d + 1 values per row instead of C(d+1) + 1, and ``take`` reads F.
 """
 
 from __future__ import annotations
@@ -183,9 +184,9 @@ def khatri_rao_factors(resid: np.ndarray, xb: np.ndarray) -> "FactoredKernel":
     x_hat the unit rows of the parts.  It equals
     ``cosine_factors(g)`` up to rounding and is written straight into its
     output, with no n x C(d+1) temporary.  The kernel also carries
-    ``parts = (r_hat, x_hat)``, so a product ``left @ a`` can read
-    C + d + 1 values per row instead of C(d+1) + 1.  A zero row in either
-    part is a zero row of g and raises as in ``cosine_factors``.
+    ``parts = (r_hat, x_hat)``, which its ``dot`` and ``row_blocks``
+    read instead of ``left``.  A zero row in either part is a zero row
+    of g and raises as in ``cosine_factors``.
     """
     r = EmbeddingMatrix.from_array(resid)
     x = EmbeddingMatrix.from_array(xb)
@@ -201,6 +202,19 @@ def khatri_rao_factors(resid: np.ndarray, xb: np.ndarray) -> "FactoredKernel":
         (r_hat * np.sqrt(0.5))[:, :, None], x_hat[:, None, :], out=out[:, 1:].reshape(n, c, d1)
     )
     return FactoredKernel(out, parts=(r_hat, x_hat))
+
+
+# Rows per block when a factored block is multiplied out: each row block
+# is transformed by the caller right after its GEMM, while still in cache.
+# Smaller blocks measured slower, larger no faster.
+_BLOCK_ROWS = 256
+
+# Rows per block filled from Khatri-Rao parts: the fill is bound by its
+# passes over two staging buffers, not by its two small GEMMs.  A 14000 x
+# 14000 float32 coverage fill took 1.5-1.7 s with 64 rows, 1.6-1.8 s with 32
+# or 128 and 2.0 s with 256 (2 vCPUs, OpenBLAS with 2 threads); with the
+# other vCPU busy, 32 rows took 4.4-4.8 s, 64 and 256 rows 3.2-3.5 s.
+_PARTS_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -262,4 +276,51 @@ class FactoredKernel:
         elif self.symmetric:
             ids = np.arange(self.shape[0])
             out[ids[rows][:, None] == ids[cols][None, :]] = 1.0
+        return out
+
+    def row_blocks(self, cols=None):
+        """Yield ``(lo, hi, S[lo:hi, cols])`` over the rows (``cols``: sorted
+        indices, None = all), each block a float64 view of one staging buffer
+        that the next overwrites; a square block has its unit diagonal pinned.
+        With parts (R, X) it is (1 + (R_rows R_cols^T) * (X_rows X_cols^T)) / 2
+        in ``_PARTS_BLOCK_ROWS`` rows, else left_rows F_cols^T in ``_BLOCK_ROWS``.
+        """
+        n, m = self.shape
+        idx = np.arange(m) if cols is None else np.asarray(cols, dtype=np.intp)
+        # All columns: a transposed view has the layout of the gathered copy.
+        pick = slice(None) if cols is None else idx
+        if self.parts is None:
+            step, f_cols = _BLOCK_ROWS, self.cols[pick].T
+        else:
+            r, x = self.parts
+            # Halving is exact: (R/2) R^T * X X^T + 1/2 rounds as (1 + R R^T * X X^T) / 2.
+            half_r = 0.5 * r
+            step, r_cols, x_cols = _PARTS_BLOCK_ROWS, r[pick].T, x[pick].T
+            aux = np.empty((min(n, step), idx.size))
+        stage = np.empty((min(n, step), idx.size))
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            blk = stage[: hi - lo]
+            if self.parts is None:
+                np.matmul(self.left[lo:hi], f_cols, out=blk)
+            else:
+                np.matmul(half_r[lo:hi], r_cols, out=blk)
+                blk *= np.matmul(x[lo:hi], x_cols, out=aux[: hi - lo])
+                blk += 0.5
+            if self.symmetric:
+                a, b = np.searchsorted(idx, (lo, hi))
+                blk[idx[a:b] - lo, np.arange(a, b)] = 1.0
+            yield lo, hi, blk
+
+    def dot(self, a: np.ndarray) -> np.ndarray:
+        """The factor product ``left @ a``.  With parts (R, X) it is
+        (a_0 + rowsum((X A^T) * R)) / sqrt(2) with A = a[1:] as C x (d+1),
+        C + d + 1 values read per row instead of C(d+1) + 1."""
+        if self.parts is None:
+            return self.left @ a
+        r, x = self.parts
+        t = x @ a[1:].reshape(r.shape[1], x.shape[1]).T
+        out = np.einsum("ij,ij->i", t, r)
+        out += a[0]
+        out *= np.sqrt(0.5)
         return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -406,6 +407,22 @@ class TestFactoredKernels:
         meta = run_al(cfg).summary["function_metadata"]
         assert (meta["kind"], meta["ground_size"]) == ("flvmi", last_pool)
 
+    def test_runs_on_khatri_rao_pools_are_pinned_by_digest(self, monkeypatch):
+        # The harness's pool factor carries Khatri-Rao parts; each kind runs
+        # once with float64 coverage blocks and once with float32 ones (the
+        # limit patched to 0), across several 64- and 256-row blocks.
+        def picks(cfg):
+            return [
+                [list(r.selected), f"{r.objective:.12g}", r.block_bytes] for r in run_al(cfg).records
+            ]
+
+        kinds = ("fl", "flvmi", "flcg", "flcmi", "div_gcmi", "flqmi", "logdetmi", "logdetcg")
+        runs = [picks(tiny_config(method="flvmi", optimizer={"partitions": 3}))]
+        for limit in (functions._FLOAT64_BLOCK_BYTES, 0):
+            monkeypatch.setattr(functions, "_FLOAT64_BLOCK_BYTES", limit)
+            runs += [picks(tiny_config(method=kind)) for kind in kinds]
+        assert hashlib.sha256(repr(runs).encode()).hexdigest()[:16] == "4b1f254552b897f2"
+
 
 class TestPenaltyMatrix:
     def test_hand_computed_fixture(self):
@@ -631,14 +648,16 @@ class TestConfigSections:
         "budget=2.5", "budget=true",
     ]
 
-    @pytest.mark.parametrize("item", _NON_INTEGERS)
-    def test_integer_field_rejects_a_non_integer(self, item, tmp_path, capsys):
+    @staticmethod
+    def rejected_before_running(item, noun, tmp_path, capsys):
+        """``--set item`` raises from ``RunConfig.from_dict`` and exits 2
+        from the CLI without writing records."""
         from submodal.cli import _assign
 
         key, _, raw = item.partition("=")
         payload = {"scenario": "rare", "method": "flqmi", "scenario_params": {"unlabeled_common": 200}}
         _assign(payload, key, json.loads(raw))
-        with pytest.raises(ValueError, match=f"{key.split('.')[-1]} must be an integer"):
+        with pytest.raises(ValueError, match=f"{key.split('.')[-1]} must be {noun}"):
             RunConfig.from_dict(payload)
         rc = cli_main(
             ["run", "--scenario", "rare", "--function", "flqmi",
@@ -646,8 +665,51 @@ class TestConfigSections:
              "--output-dir", str(tmp_path / "out")]
         )
         assert rc == 2
-        assert "must be an integer" in capsys.readouterr().err
+        assert f"must be {noun}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "records.jsonl").exists()
+
+    @pytest.mark.parametrize("item", _NON_INTEGERS)
+    def test_integer_field_rejects_a_non_integer(self, item, tmp_path, capsys):
+        self.rejected_before_running(item, "an integer", tmp_path, capsys)
+
+    # Float fields of the scenario, model and function sections, given a
+    # string or a bool.
+    _NON_NUMBERS = [
+        'scenario_params.rho="20"', "scenario_params.rho=true", "model.learning_rate=true",
+        "function.gc_lambda=true",
+    ]
+
+    @pytest.mark.parametrize("item", _NON_NUMBERS)
+    def test_float_field_rejects_a_non_number(self, item, tmp_path, capsys):
+        self.rejected_before_running(item, "a number", tmp_path, capsys)
+
+    def test_eps_takes_a_number_or_null(self):
+        assert RunConfig.from_dict({"function": {"eps": 1}}).function.eps == 1
+        assert RunConfig.from_dict({"function": {"eps": None}}).function.eps is None
+        with pytest.raises(ValueError, match="eps must be a number or null"):
+            RunConfig.from_dict({"function": {"eps": False}})
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--set", "scenario_params.rho=0.5"], "imbalance factor must be >= 1"),
+            (["--set", "scenario_params.dim=1"], "dim must be >= 2"),
+            (["--scenario", "redundancy", "--set", "scenario_params.dup_fraction=1.5"], "dup_fraction"),
+            (["--scenario", "redundancy", "--set", "scenario_params.redundancy_factor=0"],
+             "redundancy factor must be >= 1"),
+            (["--scenario", "ood", "--set", "scenario_params.dim=1"], "dim must be >= 2"),
+            (["--scenario", "standard", "--set", "scenario_params.dim=0"], "dim must be >= 2"),
+        ],
+    )
+    def test_scenario_range_checks_run_before_any_output(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli_main(
+            ["run", "--scenario", "rare", "--function", "random", "--rounds", "1", "--budget", "5",
+             *flags, "--output-dir", str(out)]
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "records.jsonl").exists()
 
     @pytest.mark.parametrize(
         "flags",

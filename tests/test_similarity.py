@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submodal.functions import _FactoredShiftedKernel
 from submodal.similarity import (
     EmbeddingMatrix,
     FactoredKernel,
@@ -189,14 +188,13 @@ class TestKhatriRaoFactors:
     def test_parts_matvec_equals_the_factor_matvec(self, c, d1, rng):
         (resid, xb), _ = badge_parts(rng, 500, c, d1)
         k = khatri_rao_factors(resid, xb)
-        with_parts = _FactoredShiftedKernel(k, 0.0)
-        plain = _FactoredShiftedKernel(FactoredKernel(k.left), 0.0)
-        assert with_parts.parts is not None and plain.parts is None
+        plain = FactoredKernel(k.left)
+        assert k.parts is not None and plain.parts is None
         for _ in range(5):
             v = rng.standard_normal(k.left.shape[1])
             want = k.left @ v
-            assert np.abs(with_parts.expand(v) - want).max() <= 1e-14
-            assert np.array_equal(plain.expand(v), want)
+            assert np.abs(k.dot(v) - want).max() <= 1e-14
+            assert np.array_equal(plain.dot(v), want)
 
     def test_zero_residual_row_raises_as_cosine_factors_does(self, rng):
         (resid, xb), g = badge_parts(rng, 12, 3, 4)
@@ -215,3 +213,45 @@ class TestKhatriRaoFactors:
             FactoredKernel(k.left[:, :-1], parts=k.parts)
         with pytest.raises(ValueError, match="parts must align"):
             khatri_rao_factors(resid[:5], xb)
+
+
+def stacked(kernel, cols):
+    """Copies of ``kernel.row_blocks(cols)`` stacked, and their row bounds."""
+    blocks = [(lo, hi, blk.copy()) for lo, hi, blk in kernel.row_blocks(cols)]
+    return np.vstack([blk for _, _, blk in blocks]), [(lo, hi) for lo, hi, _ in blocks]
+
+
+class TestRowBlocks:
+    N = 600  # 10 blocks of 64 rows, 3 of 256
+
+    @staticmethod
+    def column_sets(g, m):
+        return [None, np.sort(g.choice(m, size=m // 3, replace=False)), np.arange(130, 400),
+                np.array([0, 63, 64, 255, 256, m - 1]), np.zeros(0, dtype=np.intp)]
+
+    def test_parts_blocks_equal_the_plain_factor_blocks(self, rng):
+        (resid, xb), _ = badge_parts(rng, self.N, 4, 9)
+        k = khatri_rao_factors(resid, xb)
+        for cols in self.column_sets(rng, self.N):
+            got, bounds = stacked(k, cols)
+            want, plain_bounds = stacked(FactoredKernel(k.left), cols)
+            assert bounds == [(lo, min(self.N, lo + 64)) for lo in range(0, self.N, 64)]
+            assert plain_bounds == [(lo, min(self.N, lo + 256)) for lo in range(0, self.N, 256)]
+            assert got.shape == want.shape
+            assert got.size == 0 or np.abs(got - want).max() <= 3e-15
+            ids = np.arange(self.N) if cols is None else cols
+            assert np.all(got[ids, np.arange(len(ids))] == 1.0)  # the pinned unit diagonal
+            assert np.all(want[ids, np.arange(len(ids))] == 1.0)
+
+    @pytest.mark.parametrize("square", [False, True])
+    def test_plain_factor_blocks_equal_take(self, square, rng):
+        left = cosine_factors(rng.standard_normal((self.N, 6)))
+        right = None if square else cosine_factors(rng.standard_normal((450, 6)))
+        k = FactoredKernel(left, right)
+        for cols in self.column_sets(rng, k.shape[1]):
+            seen = 0
+            for lo, hi, blk in k.row_blocks(cols):
+                assert blk.dtype == np.float64
+                assert np.array_equal(blk, k.take(np.arange(lo, hi), cols))
+                seen = hi
+            assert seen == self.N
