@@ -115,15 +115,22 @@ def _default_output_dir(config: hn.RunConfig) -> Path:
 def _execute_run(config: hn.RunConfig) -> hn.RunResult:
     out = Path(config.output_dir) if config.output_dir else _default_output_dir(config)
     out.mkdir(parents=True, exist_ok=True)
-    jsonl = open(out / "records.jsonl", "w")
-    try:
-        def flush_record(rec):
-            jsonl.write(hn.records_to_jsonl_line(rec) + "\n")
-            jsonl.flush()
+    jsonl = None
 
+    def flush_record(rec):
+        # Opened at the first record: a run that fails its checks, which
+        # all precede round 1, leaves no records file.
+        nonlocal jsonl
+        if jsonl is None:
+            jsonl = open(out / "records.jsonl", "w")
+        jsonl.write(hn.records_to_jsonl_line(rec) + "\n")
+        jsonl.flush()
+
+    try:
         result = hn.run_al(config, on_record=flush_record)
     finally:
-        jsonl.close()
+        if jsonl is not None:
+            jsonl.close()
     with open(out / "summary.json", "w") as fh:
         json.dump(result.summary, fh, indent=2, sort_keys=True)
     return result

@@ -53,7 +53,11 @@ kinds condition on Q and P from F_Q and F_P alone (qq, pp and qp are not
 given): each set becomes a correction W of at most D+1 rows, and no
 |X| x |X| block is formed above that rank.  ``evaluate`` conditions on
 a set above the rank through the r x r Gram matrix of its factors too,
-with its own Cholesky solve.  Dense blocks remain the reference input of
+with its own Cholesky solve.  A pool factor may be held as Khatri-Rao
+parts alone: then rows of F are read through ``FactoredKernel.rows`` and,
+over the whole pool (the pivot diagonal, graph-cut row sums, a dense cut
+of all rows), one ``factor_blocks`` block at a time, so no kind forms an
+n x rank array either.  Dense blocks remain the reference input of
 ``from_joint``.
 
 A ``SelectionState`` memoizes gains in one of two forms, so that they are
@@ -174,9 +178,10 @@ class InfoFunction:
     regularization ``eps`` is applied internally to the diagonals of the
     square blocks, so callers never pre-regularize.  For every kind
     ``uu``, ``uq`` and ``up`` may instead be ``FactoredKernel``s sharing
-    the U factor (``uu = FactoredKernel(F_U)``, ``uq = FactoredKernel(F_U,
-    F_Q)``, ...); no kind then forms an n x n block, the facility-location
-    kinds form only their pruned coverage block (float32 above
+    the U factor (``uu = FactoredKernel(F_U)`` or ``khatri_rao_factors``'s
+    parts, ``uq = uu.cross(F_Q)``, ...); no kind then forms an n x n block
+    (nor, on parts, an n x rank one), the facility-location kinds form
+    only their pruned coverage block (float32 above
     ``_FLOAT64_BLOCK_BYTES``, float64 below it and on dense input), and
     flqmi/gcmi keep a dense cut of ``uq``.  ``qq``, ``pp`` and ``qp`` are
     never factored.
@@ -307,10 +312,10 @@ def _as_factored_cross(val, uu: FactoredKernel, name: str) -> FactoredKernel:
     """U x X block of a factored function; an absent X gets an empty
     right factor."""
     if val is None:
-        return FactoredKernel(uu.left, np.zeros((0, uu.left.shape[1])))
+        return uu.cross(np.zeros((0, uu.rank)))
     if not isinstance(val, FactoredKernel):
         raise ValueError(f"{name} must be factored when uu is factored")
-    if val.left is not uu.left and not np.array_equal(val.left, uu.left):
+    if not val.shares_rows(uu):
         raise ValueError(f"factored {name} must share the U factor of uu")
     return val
 
@@ -320,7 +325,7 @@ def _cross_of(f: InfoFunction, key: str):
     if key != "q+p":
         return f.uq if key == "q" else f.up
     if isinstance(f.uq, FactoredKernel):
-        return FactoredKernel(f.uq.left, np.vstack([f.uq.cols, f.up.cols]))
+        return f.uq.cross(np.vstack([f.uq.right, f.up.right]))
     return np.hstack([f.uq, f.up])
 
 
@@ -330,7 +335,7 @@ _SET_LABELS = {"q": "qq", "p": "pp", "q+p": "query+conditioning"}
 def _above_rank(cross) -> bool:
     """Whether X outnumbers the rank r of the factors of a U x X block,
     so that X enters through the r x r Gram matrix F_X^T F_X."""
-    return isinstance(cross, FactoredKernel) and cross.shape[1] > cross.cols.shape[1]
+    return isinstance(cross, FactoredKernel) and cross.shape[1] > cross.rank
 
 
 def _chol_of(f: InfoFunction, key: str) -> np.ndarray | None:
@@ -343,9 +348,9 @@ def _chol_of(f: InfoFunction, key: str) -> np.ndarray | None:
     if key not in f._chol:
         cross = _cross_of(f, key)
         if _above_rank(cross):
-            sxx = cross.cols.T @ cross.cols
+            sxx = cross.right.T @ cross.right
         elif isinstance(f.uu, FactoredKernel):
-            sxx = FactoredKernel(cross.cols).take()
+            sxx = FactoredKernel(cross.right).take()
         elif key == "q+p":
             sxx = np.block([[f.qq, f.qp], [f.qp.T, f.pp]])
         else:
@@ -376,7 +381,7 @@ def _correction(f: InfoFunction, key: str) -> np.ndarray | None:
         return None
     if not isinstance(cross, FactoredKernel):
         return solve_triangular(_chol_of(f, key), cross.T, lower=True)
-    fx = cross.cols
+    fx = cross.right
     r = fx.shape[1]
     if m <= r:
         return solve_triangular(_chol_of(f, key), fx, lower=True)
@@ -445,14 +450,27 @@ def _row_max(block) -> np.ndarray:
 
 
 def _row_sums(block) -> np.ndarray:
-    """Row sums of a U x X block; a factored block gives F (F_X^T 1), and
-    a symmetric one has its pinned unit diagonal corrected by 1 - |F_i|^2."""
+    """Row sums of a U x X block; a factored block gives F (F_X^T 1), one
+    row block of F at a time, and a symmetric one has its pinned unit
+    diagonal corrected by 1 - |F_i|^2."""
     if not isinstance(block, FactoredKernel):
         return block.sum(axis=1)
-    out = block.left @ block.cols.sum(axis=0)
     if block.symmetric:
-        out += 1.0 - np.einsum("ij,ij->i", block.left, block.left)
+        col_sums = sum(blk.sum(axis=0) for _, _, blk in block.factor_blocks())
+    else:
+        col_sums = block.right.sum(axis=0)
+    out = np.empty(block.shape[0])
+    for lo, hi, blk in block.factor_blocks():
+        np.matmul(blk, col_sums, out=out[lo:hi])
+        if block.symmetric:
+            out[lo:hi] += 1.0 - _squared_norms(blk)
     return out
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row (the argument's last reference is
+    dropped on return, so a block loop holds one product at a time)."""
+    return np.einsum("ij,ij->i", rows, rows)
 
 
 def _check_symmetric(uu: np.ndarray, tol: float = 1e-10) -> None:
@@ -573,7 +591,7 @@ def _conditioned_square(f: InfoFunction, sa: np.ndarray, A: np.ndarray, key: str
         return sa
     cross = _cross_of(f, key)
     if _above_rank(cross):
-        fa = cross.left[A]
+        fa = cross.rows(A)
         b = solve_triangular(lo, fa.T, lower=True)
         return sa - fa @ fa.T + f.eps * (b.T @ b)
     s_ax = _cut(cross, A)
@@ -631,27 +649,29 @@ class _FactoredShiftedKernel:
     ``col(j)`` = F_j - W^T (W F_j).  That drops eps e_j and the pinned
     unit diagonal, which touch only row j; diag() carries them, and once
     j is committed its row is never read again; ``expand`` is F a.
+    Rows of F are read through ``FactoredKernel.rows`` and, for the
+    diagonal, one row block at a time: no n x rank array is formed.
     """
 
     def __init__(self, uu: FactoredKernel, eps: float, w=None):
         self.uu = uu
         self.eps = eps
         self.w = w
-        self.rank = uu.left.shape[1]
+        self.rank = uu.rank
 
     def diag(self) -> np.ndarray:
         d = np.full(self.uu.shape[0], 1.0 + self.eps)
         if self.w is not None:
-            fw = self.uu.left @ self.w.T
-            d -= np.einsum("ij,ij->i", fw, fw)
+            for lo, hi, blk in self.uu.factor_blocks():
+                d[lo:hi] -= _squared_norms(blk @ self.w.T)
         return d
 
     def col(self, j: int) -> np.ndarray:
-        fj = self.uu.left[j]
+        fj = self.uu.rows(j)
         return fj.copy() if self.w is None else fj - self.w.T @ (self.w @ fj)
 
     def at(self, coords: np.ndarray, j: int) -> np.ndarray:
-        return self.uu.left[j] @ coords
+        return self.uu.rows(j) @ coords
 
     def expand(self, coords: np.ndarray) -> np.ndarray:
         return self.uu.dot(coords)

@@ -158,22 +158,24 @@ class RunConfig:
         return _from_fields(cfg_cls, self.scenario_params, f"{self.scenario} scenario", seed=self.seed)
 
 
-# The values each numeric field declaration takes (never a bool), and their name.
-_NUMERIC = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-            "float | None": ((int, float, type(None)), "a number or null")}
+# The values each numeric or string field declaration takes (never a bool),
+# and their name.
+_TYPED = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+          "float | None": ((int, float, type(None)), "a number or null"),
+          "str": ((str,), "a string"), "str | None": ((str, type(None)), "a string or null")}
 
 
 def _from_fields(cls, params, what: str, **defaults):
     """``cls(**defaults, **params)``, with a ValueError (exit 2) for a
     ``params`` that is no mapping, names a field ``cls`` lacks or gives a
-    numeric field (``_NUMERIC``) a value of another type."""
+    numeric or string field (``_TYPED``) a value of another type."""
     if not isinstance(params, Mapping):
         raise ValueError(f"{what} must be a mapping of fields, got {params!r}")
     unknown = set(params) - set(cls.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
     for name, value in params.items():
-        types, noun = _NUMERIC.get(cls.__dataclass_fields__[name].type, (object, None))
+        types, noun = _TYPED.get(cls.__dataclass_fields__[name].type, (object, None))
         if noun and (isinstance(value, bool) or not isinstance(value, types)):
             raise ValueError(f"{what} field {name} must be {noun}, got {value!r}")
     try:
@@ -324,9 +326,6 @@ def _submodular_select(
 ):
     kind = config.method
     q_field, p_field = table1_fields(config.scenario, kind)
-    if q_field and len(getattr(split, q_field)) == 0:
-        name = q_field.replace("_", " ")
-        raise ValueError(f"{kind} needs a query set, but the split's {name} set is empty")
     pool = np.sort(split.unlabeled)
     x_pool = split.features[pool]
     # The pool's gradients stay in their two parts: its factor is built
@@ -349,7 +348,7 @@ def _submodular_select(
         # None is the whole pool.
         ids = slice(None) if local_ids is None else local_ids
         uu = sim.khatri_rao_factors(resid[ids], xb[ids])
-        blocks = {name: sim.FactoredKernel(uu.left, fs) for name, fs in side_factors.items()}
+        blocks = {name: uu.cross(fs) for name, fs in side_factors.items()}
         f = InfoFunction(kind=kind, uu=uu, **blocks, **asdict(config.function))
         metadata.update(f.metadata, ground_size=len(pool))
         return f
@@ -379,6 +378,12 @@ def run_al(
             f"budget*rounds = {config.budget * config.rounds} exceeds the "
             f"unlabeled pool of {len(split.unlabeled)}"
         )
+    # Query sets only grow over the rounds: an empty one fails before round 1.
+    kind = config.method
+    q_field = None if kind in sc.BASELINES else table1_fields(config.scenario, kind)[0]
+    if q_field and len(getattr(split, q_field)) == 0:
+        name = q_field.replace("_", " ")
+        raise ValueError(f"{kind} needs a query set, but the split's {name} set is empty")
     guard = LabelGuard(
         split.labels,
         np.concatenate([split.labeled, split.validation, split.rare_query]),

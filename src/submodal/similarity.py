@@ -11,15 +11,17 @@ of rank D + 1, which every function kind uses instead of an n x n block.
 A BADGE gradient embedding g = r outer x (residual r = p - e_y over C
 classes, biased input x = [x; 1]) has cos(g_i, g_j) = cos(r_i, r_j)
 cos(x_i, x_j), so its factor is F = [1, r_hat outer x_hat] / sqrt(2) in
-Khatri-Rao form.  ``khatri_rao_factors`` builds F from the two parts,
-without the n x C(d+1) embedding, and keeps the parts beside it for
-``FactoredKernel``'s products alone: ``dot`` and ``row_blocks`` then read
-C + d + 1 values per row instead of C(d+1) + 1, and ``take`` reads F.
+Khatri-Rao form.  ``khatri_rao_factors`` keeps only the two parts, C + d
++ 1 values per row, and never forms the n x C(d+1) embedding or F itself:
+``FactoredKernel``'s ``dot`` and ``row_blocks`` read the parts, and every
+other product builds the rows of F it needs (``rows``), a bounded block at
+a time over all rows (``factor_blocks``).  ``take`` multiplies such built
+rows, so it checks the parts arithmetic of ``dot`` and ``row_blocks``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -177,31 +179,21 @@ def cosine_factors(a: np.ndarray) -> np.ndarray:
 
 def khatri_rao_factors(resid: np.ndarray, xb: np.ndarray) -> "FactoredKernel":
     """Square ``FactoredKernel`` of the rescaled cosine kernel over the rows
-    g_i = resid_i outer xb_i, built from the two parts.
+    g_i = resid_i outer xb_i, held as its two parts.
 
     The cosine of two such rows is the product of the cosines of their
-    parts, so ``left`` = [1, r_hat outer x_hat] / sqrt(2), with r_hat and
-    x_hat the unit rows of the parts.  It equals
-    ``cosine_factors(g)`` up to rounding and is written straight into its
-    output, with no n x C(d+1) temporary.  The kernel also carries
-    ``parts = (r_hat, x_hat)``, which its ``dot`` and ``row_blocks``
-    read instead of ``left``.  A zero row in either part is a zero row
-    of g and raises as in ``cosine_factors``.
+    parts, so the factor is F = [1, r_hat outer x_hat] / sqrt(2), with
+    r_hat and x_hat the unit rows of the parts.  The kernel keeps only
+    ``parts = (r_hat, x_hat)``, C + d + 1 values per row; its ``rows``
+    build rows of F on demand, equal to ``cosine_factors(g)`` up to
+    rounding.  A zero row in either part is a zero row of g and raises as
+    in ``cosine_factors``.
     """
     r = EmbeddingMatrix.from_array(resid)
     x = EmbeddingMatrix.from_array(xb)
     if r.rows != x.rows:
         raise ValueError(f"parts must align: {r.rows} vs {x.rows} rows")
-    rn, xn = _row_norms(r), _row_norms(x)
-    r_hat = r.data / rn[:, None]
-    x_hat = x.data / xn[:, None]
-    n, c, d1 = r.rows, r.dim, x.dim
-    out = np.empty((n, 1 + c * d1))
-    out[:, 0] = np.sqrt(0.5)
-    np.multiply(
-        (r_hat * np.sqrt(0.5))[:, :, None], x_hat[:, None, :], out=out[:, 1:].reshape(n, c, d1)
-    )
-    return FactoredKernel(out, parts=(r_hat, x_hat))
+    return FactoredKernel(parts=(r.data / _row_norms(r)[:, None], x.data / _row_norms(x)[:, None]))
 
 
 # Rows per block when a factored block is multiplied out: each row block
@@ -216,108 +208,183 @@ _BLOCK_ROWS = 256
 # other vCPU busy, 32 rows took 4.4-4.8 s, 64 and 256 rows 3.2-3.5 s.
 _PARTS_BLOCK_ROWS = 64
 
+# Rows per block of F built from parts (``factor_blocks``): 512 x 331 float64
+# is 1.4 MB, against 37 MB for the whole factor of a 14000-point pool.  The
+# pivot diagonal's 14000 x 331 x 331 product took 44-45 ms in 512-row
+# blocks, as one GEMM did (43-46 ms), and 52-64 ms in 256-row blocks.
+_FACTOR_BLOCK_ROWS = 512
 
-@dataclass(frozen=True)
+
+def _factor_array(val, what: str) -> np.ndarray:
+    out = np.ascontiguousarray(np.asarray(val, dtype=np.float64))
+    if out.ndim != 2:
+        raise ValueError(f"kernel {what} must be 2-D, got shape {out.shape}")
+    return out
+
+
 class FactoredKernel:
-    """Kernel block held as factors, ``left @ right.T``, never materialized.
+    """Kernel block held as factors, F_rows F_cols^T, never materialized.
 
-    ``right=None`` marks the square symmetric block of ``left`` with
-    itself; its diagonal is pinned to exactly 1, as in ``cosine_kernel``.
-    ``parts`` is set by ``khatri_rao_factors`` only: the unit rows
-    ``(r_hat, x_hat)`` whose per-row outer product makes up ``left[:, 1:]``.
+    The row factor is ``left``, or, for a kernel built by
+    ``khatri_rao_factors``, its ``parts``: the unit rows ``(r_hat, x_hat)``
+    whose per-row outer product makes up F[:, 1:] (F[:, 0] = 1/sqrt(2)).
+    A kernel with parts stores no F; ``rows`` and ``factor_blocks`` build
+    the rows of F they are asked for.  ``right=None`` marks the square
+    symmetric block of the row factor with itself; its diagonal is pinned
+    to exactly 1, as in ``cosine_kernel``.
     """
 
-    left: np.ndarray
-    right: np.ndarray | None = None
-    parts: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        for name in ("left", "right"):
-            val = getattr(self, name)
-            if val is not None:
-                val = np.ascontiguousarray(np.asarray(val, dtype=np.float64))
-                if val.ndim != 2:
-                    raise ValueError(f"kernel factor must be 2-D, got shape {val.shape}")
-                object.__setattr__(self, name, val)
-        if self.right is not None and self.right.shape[1] != self.left.shape[1]:
-            raise ValueError(
-                f"factor rank mismatch: {self.left.shape[1]} vs {self.right.shape[1]}"
-            )
-        if self.parts is not None:
-            r_hat, x_hat = self.parts
-            want = (r_hat.shape[0], 1 + r_hat.shape[1] * x_hat.shape[1])
-            if self.right is not None or self.left.shape != want:
-                raise ValueError(
-                    f"parts of shape {want} do not make up the factor {self.left.shape}"
-                )
+    def __init__(self, left=None, right=None, parts=None):
+        if parts is None:
+            if left is None:
+                raise ValueError("a factored kernel needs a left factor or parts")
+            self._left = _factor_array(left, "factor")
+            n, self.rank = self._left.shape
+        else:
+            r_hat, x_hat = (_factor_array(p, "part") for p in parts)
+            n, self.rank = r_hat.shape[0], 1 + r_hat.shape[1] * x_hat.shape[1]
+            if x_hat.shape[0] != n:
+                raise ValueError(f"parts must align: {n} vs {x_hat.shape[0]} rows")
+            if left is not None:
+                shape = np.shape(left)
+                if shape != (n, self.rank):
+                    raise ValueError(
+                        f"parts of shape {(n, self.rank)} do not make up the factor {shape}"
+                    )
+                raise ValueError("a factored kernel takes a left factor or parts, not both")
+            self._left, parts = None, (r_hat, x_hat)
+        self.parts = parts
+        self.right = None if right is None else _factor_array(right, "factor")
+        if self.right is not None and self.right.shape[1] != self.rank:
+            raise ValueError(f"factor rank mismatch: {self.rank} vs {self.right.shape[1]}")
+        self._n = n
 
     @property
     def symmetric(self) -> bool:
         return self.right is None
 
     @property
-    def cols(self) -> np.ndarray:
-        """Factor of the column set (``left`` for a symmetric block)."""
-        return self.left if self.right is None else self.right
+    def shape(self) -> tuple[int, int]:
+        return self._n, self._n if self.right is None else self.right.shape[0]
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.left.shape[0], self.cols.shape[0]
+    def left(self) -> np.ndarray:
+        """The whole row factor F, built explicitly for a kernel with parts."""
+        return self.rows(slice(None))
+
+    def rows(self, idx, out=None) -> np.ndarray:
+        """Rows ``idx`` (an index, index array or slice) of the row factor
+        F.  With parts they are built, into ``out`` if given, as
+        sqrt(1/2) [1, (r_hat sqrt(1/2)) outer x_hat]; a stored factor gives
+        its rows (a view for a slice or an index)."""
+        if self.parts is None:
+            return self._left[idx]
+        r, x = self.parts
+        r, x = r[idx] * np.sqrt(0.5), x[idx]
+        if out is None:
+            out = np.empty(r.shape[:-1] + (self.rank,))
+        out[..., 0] = np.sqrt(0.5)
+        # F[..., 1:] viewed as C x (d+1) per row: the outer products land in place.
+        outer = out[..., 1:].reshape(r.shape + x.shape[-1:])
+        np.multiply(r[..., :, None], x[..., None, :], out=outer)
+        return out
+
+    def factor_blocks(self, rows=None):
+        """Yield ``(lo, hi, F[rows][lo:hi])`` in blocks of
+        ``_FACTOR_BLOCK_ROWS`` rows (``rows``: an index array, None = all).
+        With parts each block is built into one staging buffer that the
+        next overwrites, so no more than one block of F exists at a time."""
+        n = self._n if rows is None else len(rows)
+        stage = None if self.parts is None else np.empty((min(n, _FACTOR_BLOCK_ROWS), self.rank))
+        for lo in range(0, n, _FACTOR_BLOCK_ROWS):
+            hi = min(n, lo + _FACTOR_BLOCK_ROWS)
+            sel = slice(lo, hi) if rows is None else rows[lo:hi]
+            yield lo, hi, self.rows(sel, None if stage is None else stage[: hi - lo])
+
+    def cross(self, right: np.ndarray) -> "FactoredKernel":
+        """The block of this kernel's rows against the column factor
+        ``right``, sharing the row factor or its parts."""
+        return FactoredKernel(self._left, right, parts=self.parts)
+
+    def shares_rows(self, other: "FactoredKernel") -> bool:
+        """Whether ``other`` has this kernel's row factor: the same stored
+        factor or parts, else equal rows of F, compared block by block."""
+        mine, theirs = self.parts or (self._left,), other.parts or (other._left,)
+        if len(mine) == len(theirs) and all(a is b for a, b in zip(mine, theirs)):
+            return True
+        if (self._n, self.rank) != (other._n, other.rank):
+            return False
+        return all(
+            np.array_equal(blk, other.rows(slice(lo, hi))) for lo, hi, blk in self.factor_blocks()
+        )
+
+    def _col_rows(self, idx) -> np.ndarray:
+        """Rows ``idx`` of the column factor (F itself for a symmetric block)."""
+        return self.rows(idx) if self.right is None else self.right[idx]
 
     def take(self, rows=None, cols=None) -> np.ndarray:
-        """Dense sub-block at index arrays ``rows`` x ``cols`` (None = all)."""
+        """Dense sub-block at index arrays ``rows`` x ``cols`` (None = all),
+        each row block of F multiplied by the built columns of the factor."""
+        if self.symmetric and cols is None and rows is not None:
+            # The block is symmetric: all columns of a few rows are the
+            # transposed rows of those columns, and F is only built in blocks.
+            return np.ascontiguousarray(self.take(cols=rows).T)
         whole = rows is None and cols is None
-        # A full slice reads a factor in place; an index array would copy it.
-        rows = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
+        rows = None if rows is None else np.asarray(rows, dtype=np.intp)
         cols = slice(None) if cols is None else np.asarray(cols, dtype=np.intp)
-        out = _big_matmul(self.left[rows], self.cols[cols])
+        f_cols = self._col_rows(cols).T
+        out = np.empty((self._n if rows is None else rows.size, f_cols.shape[1]))
+        for lo, hi, blk in self.factor_blocks(rows):
+            np.matmul(blk, f_cols, out=out[lo:hi])
         if self.symmetric and whole:
             np.fill_diagonal(out, 1.0)  # no n x n index mask
         elif self.symmetric:
-            ids = np.arange(self.shape[0])
-            out[ids[rows][:, None] == ids[cols][None, :]] = 1.0
+            ids = np.arange(self._n)
+            out[ids[slice(None) if rows is None else rows][:, None] == ids[cols][None, :]] = 1.0
         return out
 
     def row_blocks(self, cols=None):
         """Yield ``(lo, hi, S[lo:hi, cols])`` over the rows (``cols``: sorted
         indices, None = all), each block a float64 view of one staging buffer
         that the next overwrites; a square block has its unit diagonal pinned.
-        With parts (R, X) it is (1 + (R_rows R_cols^T) * (X_rows X_cols^T)) / 2
-        in ``_PARTS_BLOCK_ROWS`` rows, else left_rows F_cols^T in ``_BLOCK_ROWS``.
+        A square block with parts (R, X) is (1 + (R_rows R_cols^T) *
+        (X_rows X_cols^T)) / 2 in ``_PARTS_BLOCK_ROWS`` rows, any other
+        F_rows F_cols^T in ``_BLOCK_ROWS``.
         """
         n, m = self.shape
         idx = np.arange(m) if cols is None else np.asarray(cols, dtype=np.intp)
         # All columns: a transposed view has the layout of the gathered copy.
         pick = slice(None) if cols is None else idx
-        if self.parts is None:
-            step, f_cols = _BLOCK_ROWS, self.cols[pick].T
-        else:
+        from_parts = self.symmetric and self.parts is not None
+        if from_parts:
             r, x = self.parts
             # Halving is exact: (R/2) R^T * X X^T + 1/2 rounds as (1 + R R^T * X X^T) / 2.
             half_r = 0.5 * r
             step, r_cols, x_cols = _PARTS_BLOCK_ROWS, r[pick].T, x[pick].T
             aux = np.empty((min(n, step), idx.size))
+        else:
+            step, f_cols = _BLOCK_ROWS, self._col_rows(pick).T
         stage = np.empty((min(n, step), idx.size))
         for lo in range(0, n, step):
             hi = min(n, lo + step)
             blk = stage[: hi - lo]
-            if self.parts is None:
-                np.matmul(self.left[lo:hi], f_cols, out=blk)
-            else:
+            if from_parts:
                 np.matmul(half_r[lo:hi], r_cols, out=blk)
                 blk *= np.matmul(x[lo:hi], x_cols, out=aux[: hi - lo])
                 blk += 0.5
+            else:
+                np.matmul(self.rows(slice(lo, hi)), f_cols, out=blk)
             if self.symmetric:
                 a, b = np.searchsorted(idx, (lo, hi))
                 blk[idx[a:b] - lo, np.arange(a, b)] = 1.0
             yield lo, hi, blk
 
     def dot(self, a: np.ndarray) -> np.ndarray:
-        """The factor product ``left @ a``.  With parts (R, X) it is
+        """The factor product F @ a.  With parts (R, X) it is
         (a_0 + rowsum((X A^T) * R)) / sqrt(2) with A = a[1:] as C x (d+1),
         C + d + 1 values read per row instead of C(d+1) + 1."""
         if self.parts is None:
-            return self.left @ a
+            return self._left @ a
         r, x = self.parts
         t = x @ a[1:].reshape(r.shape[1], x.shape[1]).T
         out = np.einsum("ij,ij->i", t, r)

@@ -727,12 +727,18 @@ class TestFloat32CoverageBlock:
         assert build(kind, rescaled_cosine(rng, 10), q=[8, 9], p=[6, 7])._cov.dtype == np.float64
 
 
+def badge_pool(g, n, c, d1):
+    """Khatri-Rao parts of ``n`` BADGE-like rows: residuals over ``c``
+    classes and biased inputs of width ``d1``."""
+    resid = g.dirichlet(np.ones(c), size=n)
+    resid[np.arange(n), g.integers(c, size=n)] -= 1.0
+    return resid, np.hstack([2.0 * g.standard_normal((n, d1 - 1)), np.ones((n, 1))])
+
+
 def khatri_rao_sets(g, n, c=4, d1=8, n_q=5, n_p=3):
     """Khatri-Rao parts of a pool (BADGE residuals and biased inputs) and
     factors of Q and P at the same rank 1 + c * d1."""
-    resid = g.dirichlet(np.ones(c), size=n)
-    resid[np.arange(n), g.integers(c, size=n)] -= 1.0
-    xb = np.hstack([2.0 * g.standard_normal((n, d1 - 1)), np.ones((n, 1))])
+    resid, xb = badge_pool(g, n, c, d1)
     q, p = (cosine_factors(g.standard_normal((m, c * d1))) for m in (n_q, n_p))
     return khatri_rao_factors(resid, xb), q, p
 
@@ -820,6 +826,79 @@ class TestKhatriRaoPool:
         assert picks == want_picks
         for got, want in zip(pivots, want_pivots):
             assert np.abs(got - want).max() <= 1e-12
+
+
+class TestPartsOnlyPool:
+    """A Khatri-Rao pool kernel keeps only its parts: every product that
+    reads rows of F builds them block by block and matches the plain
+    factor, and no kind allocates an n x rank array."""
+
+    C, D1 = 10, 33  # factor rank 1 + C * D1 = 331, as on the benchmark pools
+
+    @pytest.mark.parametrize("m", [20, 371])  # below and above the rank 331
+    def test_blocked_pivot_diagonal_matches_the_full_height_product(self, m, rng):
+        # The row blocks' GEMMs may round differently from one full-height
+        # GEMM: with W of 331 rows the entries near 0.05 differed by up to
+        # 3.1e-15 (14 ulps of the unit diagonal) over blocks of 64 to 2048
+        # rows, with 20 rows by none.
+        uu = khatri_rao_factors(*badge_pool(rng, 3000, self.C, self.D1))
+        p = cosine_factors(rng.standard_normal((m, uu.rank - 1)))
+        f = InfoFunction(kind="logdetcg", uu=uu, up=uu.cross(p))
+        w = f._w["p"]
+        assert w.shape == (min(m, uu.rank), uu.rank)
+        fw = uu.left @ w.T
+        full = 1.0 + f.eps - np.einsum("ij,ij->i", fw, fw)
+        got = functions._FactoredShiftedKernel(uu, f.eps, w).diag()
+        assert np.abs(got - full).max() <= 1e-14
+
+    def test_take_row_blocks_and_row_sums_match_the_plain_factor(self, rng):
+        uu = khatri_rao_factors(*badge_pool(rng, 700, 4, 9))
+        plain = FactoredKernel(uu.left)
+        q = cosine_factors(rng.standard_normal((30, uu.rank - 1)))
+        idx = np.sort(rng.choice(700, size=90, replace=False))
+        for rows, cols in ((None, None), (idx, None), (None, idx), (idx, idx[::2]), ([5], None)):
+            got, want = uu.take(rows, cols), plain.take(rows, cols)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 2e-15
+            assert np.array_equal(got == 1.0, want == 1.0)  # the same pinned entries
+        cross, plain_cross = uu.cross(q), plain.cross(q)
+        for cols in (None, np.arange(3, 25)):
+            for (lo, hi, got), (_, _, want) in zip(
+                cross.row_blocks(cols), plain_cross.row_blocks(cols), strict=True
+            ):
+                assert np.array_equal(got, want), (lo, hi)
+        for block, plain_block in ((uu, plain), (cross, plain_cross)):
+            assert np.abs(functions._row_sums(block) - functions._row_sums(plain_block)).max() <= 1e-12
+        dense = uu.take().sum(axis=1)
+        assert np.abs(functions._row_sums(uu) - dense).max() <= 1e-14 * dense.max()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_no_kind_allocates_an_n_by_rank_array(self, kind, rng):
+        # The traced peak from the parts to the greedy picks, less the
+        # coverage block the FL kinds keep by design, admits the parts,
+        # row-block staging and the r x r conditioning arrays (0.57 of
+        # F's bytes at most), but not the pool's factor F (n x 331
+        # float64, 10.6 MB here).
+        n = 4000
+        resid, xb = badge_pool(rng, n, self.C, self.D1)
+        rank = 1 + self.C * self.D1
+        q = cosine_factors(rng.standard_normal((20, rank - 1)))
+        p = cosine_factors(rng.standard_normal((rank + 20, rank - 1)))  # above the rank
+        tracemalloc.start()
+        try:
+            uu = khatri_rao_factors(resid, xb)
+            blocks = {"uu": uu}
+            if kind in NEEDS_Q:
+                blocks["uq"] = uu.cross(q)
+            if kind in NEEDS_P:
+                blocks["up"] = uu.cross(p)
+            f = InfoFunction(kind=kind, **blocks)
+            for variant in ("naive", "lazy"):
+                greedy_select(f, GreedyConfig(budget=5, variant=variant))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - f.block_bytes < n * rank * 8 * 2 // 3
 
 
 class TestFactorSpaceConditioning:

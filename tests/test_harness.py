@@ -554,6 +554,30 @@ class TestCli:
         assert "logdetmi is not submodular" in capsys.readouterr().err
         assert not (tmp_path / "records.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--scenario", "rare", "--function", "random", "--rounds", "100", "--budget", "50",
+              "--set", "scenario_params.unlabeled_common=60"], "exceeds the unlabeled pool"),
+            (["--scenario", "standard", "--function", "flqmi", "--rounds", "1", "--budget", "5"],
+             "flqmi needs a query set"),
+        ],
+        ids=["budget-over-pool", "empty-query-set"],
+    )
+    def test_a_run_level_config_error_exits_two_before_any_round_or_record(
+        self, flags, message, monkeypatch, tmp_path, capsys
+    ):
+        import submodal.harness as harness
+
+        def no_round(*a, **k):
+            raise AssertionError("a round started")
+
+        monkeypatch.setattr(harness, "train", no_round)
+        rc = cli_main(["run", *flags, "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "records.jsonl").exists()
+
     def test_verify_is_no_command(self):
         assert cli_main(["verify"]) == 2
 
@@ -688,6 +712,18 @@ class TestConfigSections:
         assert RunConfig.from_dict({"function": {"eps": None}}).function.eps is None
         with pytest.raises(ValueError, match="eps must be a number or null"):
             RunConfig.from_dict({"function": {"eps": False}})
+
+    @pytest.mark.parametrize("raw", ["3", "true", "[1]"])
+    def test_output_dir_takes_a_string_or_null(self, raw, monkeypatch, tmp_path, capsys):
+        assert RunConfig.from_dict({"output_dir": "out"}).output_dir == "out"
+        assert RunConfig.from_dict({"output_dir": None}).output_dir is None
+        with pytest.raises(ValueError, match="output_dir must be a string or null"):
+            RunConfig.from_dict({"output_dir": json.loads(raw)})
+        monkeypatch.chdir(tmp_path)
+        rc = cli_main(["run", "--scenario", "rare", "--function", "random", "--set", f"output_dir={raw}"])
+        assert rc == 2
+        assert "output_dir must be a string or null" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -255,3 +255,76 @@ class TestRowBlocks:
                 assert np.array_equal(blk, k.take(np.arange(lo, hi), cols))
                 seen = hi
             assert seen == self.N
+
+
+class TestPartsOnlyFactor:
+    """A Khatri-Rao kernel stores its parts and builds rows of F on demand."""
+
+    @staticmethod
+    def formula(r_hat, x_hat):
+        """F = sqrt(1/2) [1, (r_hat sqrt(1/2)) outer x_hat], written as the
+        whole-array build of the factor does it."""
+        n, c, d1 = r_hat.shape[0], r_hat.shape[1], x_hat.shape[1]
+        out = np.empty((n, 1 + c * d1))
+        out[:, 0] = np.sqrt(0.5)
+        np.multiply(
+            (r_hat * np.sqrt(0.5))[:, :, None], x_hat[:, None, :], out=out[:, 1:].reshape(n, c, d1)
+        )
+        return out
+
+    @pytest.mark.parametrize(
+        "idx", [0, 17, np.int64(299), np.array([3, 0, 3, 250]), np.arange(300),
+                slice(None), slice(40, 97), slice(280, None)],
+    )
+    def test_rows_are_bit_equal_to_the_whole_factor_formula(self, idx, rng):
+        (resid, xb), _ = badge_parts(rng, 300, 10, 33)
+        k = khatri_rao_factors(resid, xb)
+        want = self.formula(*k.parts)[idx]
+        got = k.rows(idx)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(k.left, self.formula(*k.parts))
+
+    @pytest.mark.parametrize("rows", [None, np.array([5, 1, 1200, 300])])
+    def test_factor_blocks_tile_the_rows_in_bounded_blocks(self, rows, rng):
+        (resid, xb), _ = badge_parts(rng, 1201, 3, 5)
+        k = khatri_rao_factors(resid, xb)
+        blocks = [(lo, hi, blk.copy()) for lo, hi, blk in k.factor_blocks(rows)]
+        n = 1201 if rows is None else rows.size
+        assert [(lo, hi) for lo, hi, _ in blocks] == [
+            (lo, min(n, lo + 512)) for lo in range(0, n, 512)
+        ]
+        want = k.left if rows is None else k.left[rows]
+        assert np.array_equal(np.vstack([b for _, _, b in blocks]), want)
+
+    def test_the_parts_are_all_it_stores(self, rng):
+        (resid, xb), _ = badge_parts(rng, 4000, 10, 33)
+        tracemalloc.start()
+        try:
+            k = khatri_rao_factors(resid, xb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4000 * k.rank * 8 // 4  # F itself is 10.6 MB
+        assert k.left is not k.left  # built afresh on each read
+
+    def test_cross_blocks_share_the_parts(self, rng):
+        (resid, xb), _ = badge_parts(rng, 50, 3, 4)
+        k = khatri_rao_factors(resid, xb)
+        q = cosine_factors(rng.standard_normal((6, 12)))
+        cross = k.cross(q)
+        assert cross.shape == (50, 6) and not cross.symmetric
+        assert all(a is b for a, b in zip(cross.parts, k.parts))
+        assert cross.shares_rows(k) and k.shares_rows(FactoredKernel(k.left))
+        other = khatri_rao_factors(*badge_parts(rng, 50, 3, 4)[0])
+        assert not k.shares_rows(other) and not k.shares_rows(FactoredKernel(k.left[:, :-1]))
+        assert np.array_equal(cross.take(), FactoredKernel(k.left, q).take())
+        with pytest.raises(ValueError, match="rank mismatch"):
+            k.cross(q[:, :-1])
+
+    def test_a_factor_and_its_parts_are_not_both_taken(self, rng):
+        (resid, xb), _ = badge_parts(rng, 6, 3, 4)
+        k = khatri_rao_factors(resid, xb)
+        with pytest.raises(ValueError, match="not both"):
+            FactoredKernel(k.left, parts=k.parts)
+        with pytest.raises(ValueError, match="needs a left factor or parts"):
+            FactoredKernel()
