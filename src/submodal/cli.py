@@ -157,20 +157,27 @@ def _sweep_worker(payload):
     config = hn.RunConfig.from_dict({**cfg_dict, "method": method, "seed": seed, "output_dir": None})
     result = hn.run_al(config)
     trace = [getattr(r, metric) for r in result.records]
-    if any(v is None for v in trace):
-        raise ValueError(f"metric {metric!r} is absent in scenario {config.scenario!r}")
     return method, seed, trace, [r.to_dict() for r in result.records]
 
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    # Each method through RunConfig: canonical names, and a bad one fails here.
+    methods = [
+        hn.RunConfig.from_dict({**config.to_dict(), "method": m}).method
+        for m in args.methods.split(",")
+        if m.strip()
+    ]
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"sweep lists a method twice: {methods}")
     if len(methods) < 2:
         raise ValueError("sweep needs at least two methods")
     if args.num_seeds < 2:
         raise ValueError("sweep needs --num-seeds >= 2 (the penalty t-test is undefined on one seed)")
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"--alpha must lie in (0, 1), got {args.alpha}")
+    if args.metric == "rare_accuracy" and not hn.build_scenario(config)[0].rare_classes:
+        raise ValueError(f"metric 'rare_accuracy' is absent in scenario {config.scenario!r}")
     seeds = [config.seed + i for i in range(args.num_seeds)]
     out = Path(config.output_dir) if config.output_dir else Path("runs") / f"sweep-{config.scenario}"
     out.mkdir(parents=True, exist_ok=True)

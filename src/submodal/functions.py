@@ -46,12 +46,12 @@ Dense input keeps a float64 block at every size.
 
 Every kind also runs on rank-(D+1) factors (``FactoredKernel`` uu, uq
 and up), as the harness builds them, and never forms an n x n block:
-the log-det kinds read kernel columns on demand, the graph-cut kinds read
-row sums F (F_X^T 1) and one kernel row per commit, and flqmi/gcmi cut
-their small dense n x |Q| block from the factors.  On factors the log-det
-kinds condition on Q and P from F_Q and F_P alone (qq, pp and qp are not
-given): each set becomes a correction W of at most D+1 rows, and no
-|X| x |X| block is formed above that rank.  ``evaluate`` conditions on
+the log-det kinds read one row of F per term and commit, the graph-cut
+kinds read row sums F (F_X^T 1) and one kernel row per commit, and
+flqmi/gcmi cut their small dense n x |Q| block from the factors.  On
+factors the log-det kinds condition on Q and P from F_Q and F_P alone
+(qq, pp and qp are not given): each set becomes a correction W of at
+most D+1 rows, and no |X| x |X| block is formed above that rank.  ``evaluate`` conditions on
 a set above the rank through the r x r Gram matrix of its factors too,
 with its own Cholesky solve.  A pool factor may be held as Khatri-Rao
 parts alone: then rows of F are read through ``FactoredKernel.rows`` and,
@@ -63,7 +63,9 @@ n x rank array either.  Dense blocks remain the reference input of
 A ``SelectionState`` memoizes gains in one of two forms, so that they are
 cheap and a commit sequence reproduces the from-scratch value within 1e-8
 absolute (1e-6 relative for log-det).  A log-det kind keeps one
-incremental Cholesky factor per term.  Every other kind's gain is
+``_LogDetTerm`` per term: an incremental Cholesky factor and every
+point's residual pivot, over a dense or a factored uu.  Every other
+kind's gain is
 lin[x] + w sum_i max(cov[x,i] - covered_i, 0) - lam (S_xx + 2 sum_A S_xa),
 from the parts it has: a modular vector (flqmi's max_Q S_x, the graph-cut
 row sums), a coverage block with running maxima (the block above, with
@@ -218,6 +220,9 @@ class InfoFunction:
         object.__setattr__(self, "kind", kind)
         if self.eps is None:
             object.__setattr__(self, "eps", DEFAULT_LOGDET_EPS if kind in LOGDET_FAMILY else 0.0)
+        for name in ("gc_lambda", "eta"):  # a negative weight breaks submodularity
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         factored = isinstance(self.uu, FactoredKernel)
         for name in ("qq", "pp", "qp") + (() if factored else ("uq", "up")):
             if isinstance(getattr(self, name), FactoredKernel):
@@ -603,94 +608,39 @@ def _conditioned_square(f: InfoFunction, sa: np.ndarray, A: np.ndarray, key: str
 # ---------------------------------------------------------------------------
 
 
-class _ShiftedKernel:
-    """Column provider for M = (S_UU + eps I) - W^T W over a dense S_UU,
-    with W = ``_correction``'s |X| x n whitened cross (None: no
-    conditioning).
-
-    Columns are returned as coordinates that ``at`` (one row) and
-    ``expand`` (the n-vector) read back; a dense column is its own
-    coordinates.
-    """
-
-    def __init__(self, uu: np.ndarray, eps: float, w=None):
-        self.uu = uu
-        self.eps = eps
-        self.w = w
-        self.rank = uu.shape[0]
-
-    def diag(self) -> np.ndarray:
-        d = self.uu.diagonal() + self.eps
-        if self.w is not None:
-            d = d - np.einsum("ij,ij->j", self.w, self.w)
-        return d
-
-    def col(self, j: int) -> np.ndarray:
-        c = self.uu[j].copy()  # row of a symmetric kernel
-        c[j] += self.eps
-        if self.w is not None:
-            c -= self.w.T @ self.w[:, j]
-        return c
-
-    def at(self, coords: np.ndarray, j: int) -> np.ndarray:
-        """Row j of the vectors with coordinates ``coords``."""
-        return coords[j]
-
-    def expand(self, coords: np.ndarray) -> np.ndarray:
-        return coords
-
-
-class _FactoredShiftedKernel:
-    """The same M over S_UU = F F^T (unit diagonal), with W the
-    correction in the basis F (at most rank F rows).
-
-    Column j is F (I - W^T W) F_j + eps e_j and its diagonal entry is
-    1 + eps - |W F_j|^2.  Columns are given in the basis F:
-    ``col(j)`` = F_j - W^T (W F_j).  That drops eps e_j and the pinned
-    unit diagonal, which touch only row j; diag() carries them, and once
-    j is committed its row is never read again; ``expand`` is F a.
-    Rows of F are read through ``FactoredKernel.rows`` and, for the
-    diagonal, one row block at a time: no n x rank array is formed.
-    """
-
-    def __init__(self, uu: FactoredKernel, eps: float, w=None):
-        self.uu = uu
-        self.eps = eps
-        self.w = w
-        self.rank = uu.rank
-
-    def diag(self) -> np.ndarray:
-        d = np.full(self.uu.shape[0], 1.0 + self.eps)
-        if self.w is not None:
-            for lo, hi, blk in self.uu.factor_blocks():
-                d[lo:hi] -= _squared_norms(blk @ self.w.T)
-        return d
-
-    def col(self, j: int) -> np.ndarray:
-        fj = self.uu.rows(j)
-        return fj.copy() if self.w is None else fj - self.w.T @ (self.w @ fj)
-
-    def at(self, coords: np.ndarray, j: int) -> np.ndarray:
-        return self.uu.rows(j) @ coords
-
-    def expand(self, coords: np.ndarray) -> np.ndarray:
-        return self.uu.dot(coords)
-
-
 class _LogDetTerm:
-    """Incremental log det over a (possibly conditioned) kernel.
+    """Incremental log det(M_A) over M = (S_UU + eps I) - W^T W, with W
+    ``_correction``'s whitened cross (None: no conditioning).
 
-    Maintains the columns of the Cholesky factor against the committed
-    set, in the kernel's coordinates, and every ground point's squared
-    residual pivot, so a gain is an O(1) lookup.  A commit costs
-    O(n |A|) on a dense kernel and O(r (n + |A|)) on a factored one of
-    rank r.
+    Keeps every ground point's squared residual pivot ``dsq``, so a gain
+    is an O(1) lookup, and the Cholesky columns ``cof`` of the committed
+    set.  A commit reads row j of S_UU once and subtracts the earlier
+    columns, weighted by their entries in row j.
+
+    On a dense S_UU a column is an n-vector, O(n |A|) per commit.  On
+    factors S_UU = F F^T (unit diagonal) a column a is kept in the basis
+    F, O(r (n + |A|)) at rank r, and the pivots fall by the squares of
+    F a.  Column j starts as F_j - W^T (W F_j).  That drops eps e_j and
+    the pinned unit diagonal; both touch only entry j, which the pivots
+    carry and which no later commit reads.  The pivots start at
+    1 + eps - |W F_i|^2, read one ``factor_blocks`` block at a time, and a
+    commit reads its row through ``FactoredKernel.rows``: no n x rank
+    array is formed.
     """
 
-    def __init__(self, kernel: _ShiftedKernel | _FactoredShiftedKernel):
-        self.kernel = kernel
-        self.dsq = kernel.diag().copy()
-        self.cof = np.zeros((kernel.rank, 8))
+    def __init__(self, uu: np.ndarray | FactoredKernel, eps: float, w: np.ndarray | None = None):
+        self.uu, self.eps, self.w = uu, eps, w
+        self.factored = isinstance(uu, FactoredKernel)
+        if self.factored:
+            self.dsq = np.full(uu.shape[0], 1.0 + eps)
+            if w is not None:
+                for lo, hi, blk in uu.factor_blocks():
+                    self.dsq[lo:hi] -= _squared_norms(blk @ w.T)
+        else:
+            self.dsq = uu.diagonal() + eps
+            if w is not None:
+                self.dsq -= np.einsum("ij,ij->j", w, w)
+        self.cof = np.zeros((uu.rank if self.factored else uu.shape[0], 8))
         self.k = 0
         self.warnings = 0
 
@@ -704,14 +654,23 @@ class _LogDetTerm:
             self.warnings += 1
         if self.k == self.cof.shape[1]:
             self.cof = np.concatenate([self.cof, np.zeros_like(self.cof)], axis=1)
-        a = self.kernel.col(j)
+        w = self.w
+        if self.factored:
+            row = self.uu.rows(j)
+            a = row.copy() if w is None else row - w.T @ (w @ row)
+        else:
+            row = self.uu[j]  # = column j: the kernel is symmetric
+            a = row.copy()
+            a[j] += self.eps
+            if w is not None:
+                a -= w.T @ w[:, j]
         if self.k:
             prev = self.cof[:, : self.k]
-            a = a - prev @ self.kernel.at(prev, j)
+            a = a - prev @ (row @ prev if self.factored else prev[j])
         a /= math.sqrt(dj2)
         self.cof[:, self.k] = a
         self.k += 1
-        e = self.kernel.expand(a)
+        e = self.uu.dot(a) if self.factored else a
         self.dsq -= e * e
 
 
@@ -731,10 +690,8 @@ class SelectionState:
         self._lin = self._cov = self._cross = None
         kind = f.kind
         if kind in LOGDET_FAMILY:
-            cls = _FactoredShiftedKernel if isinstance(f.uu, FactoredKernel) else _ShiftedKernel
             self._terms = [
-                (sign, _LogDetTerm(cls(f.uu, f.eps, f._w.get(key))))
-                for sign, key in _LOGDET_TERMS[kind]
+                (sign, _LogDetTerm(f.uu, f.eps, f._w.get(key))) for sign, key in _LOGDET_TERMS[kind]
             ]
         elif kind == "flqmi":  # sum_A max_Q is modular, sum_Q max_A covers uq
             self._lin, self._cov, self._weight = _row_max(f.uq), f.uq, 1.0

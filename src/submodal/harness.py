@@ -84,6 +84,9 @@ class FunctionConfig:
     def __post_init__(self):
         if self.eps is not None and self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
+        for name in ("gc_lambda", "eta"):  # a negative weight breaks submodularity
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def table1_fields(scenario: str, kind: str) -> tuple[str | None, str | None]:

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .greedy import partition_sizes
 from .surrogate import SurrogateModel, uncertainty
 
 BASELINES = ("random", "entropy", "margin", "least_confidence")
@@ -189,11 +190,6 @@ class OODSplitConfig(_SplitConfig):
     seed: int = 0
 
 
-def _spread_counts(total: int, classes: int) -> list[int]:
-    base, extra = divmod(total, classes)
-    return [base + (1 if c < extra else 0) for c in range(classes)]
-
-
 _ROLES = ("labeled", "unlabeled", "rare_query", "validation")
 
 
@@ -248,8 +244,8 @@ def build_redundant_split(cfg: RedundantSplitConfig) -> ScenarioSplit:
     layouts = [
         [("labeled", l), ("unlabeled", u)]
         for l, u in zip(
-            _spread_counts(cfg.labeled_count, cfg.num_classes),
-            _spread_counts(cfg.unique_count, cfg.num_classes),
+            partition_sizes(cfg.labeled_count, cfg.num_classes),
+            partition_sizes(cfg.unique_count, cfg.num_classes),
         )
     ]
     split = ScenarioSplit(**_lay_out(cfg, layouts), num_classes=cfg.num_classes)

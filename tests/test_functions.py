@@ -321,6 +321,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="square"):
             InfoFunction(kind="flvmi", uq=np.ones((3, 1)))
 
+    @pytest.mark.parametrize("kind, weight", [("gc", "gc_lambda"), ("gccg", "gc_lambda"), ("div_gcmi", "eta")])
+    def test_a_negative_weight_is_rejected(self, kind, weight, rng):
+        # A negative weight makes the kind non-submodular, yet lazy greedy would run it.
+        joint = rescaled_cosine(rng, 6)
+        with pytest.raises(ValueError, match=f"{weight} must be >= 0, got -1.0"):
+            build(kind, joint, q=[4], p=[5], **{weight: -1.0})
+        assert getattr(build(kind, joint, q=[4], p=[5], **{weight: 0.0}), weight) == 0.0
+
     def test_missing_query_square_rejected_for_logdetmi(self, rng):
         joint = rescaled_cosine(rng, 5)
         with pytest.raises(ValueError):
@@ -827,6 +835,28 @@ class TestKhatriRaoPool:
         for got, want in zip(pivots, want_pivots):
             assert np.abs(got - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("kind", sorted(LOGDET_FAMILY))
+    def test_a_commit_reads_its_row_of_f_once_per_term(self, kind, rng, monkeypatch):
+        uu, fq, fp = khatri_rao_sets(rng, 300, self.C, self.D1, n_q=10, n_p=80)  # P above the rank
+        blocks = {"uu": uu}
+        if kind in NEEDS_Q:
+            blocks["uq"] = uu.cross(fq)
+        if kind in NEEDS_P:
+            blocks["up"] = uu.cross(fp)
+        f = InfoFunction(kind=kind, **blocks)
+        rows, reads = FactoredKernel.rows, []
+
+        def counted(block, idx, out=None):
+            if not isinstance(idx, slice) and np.ndim(idx) == 0:
+                reads.append(int(idx))
+            return rows(block, idx, out)
+
+        monkeypatch.setattr(FactoredKernel, "rows", counted)
+        picks = greedy_select(f, GreedyConfig(budget=12, variant="naive")).chosen
+        terms = len(functions._LOGDET_TERMS[kind])
+        assert len(picks) == 12
+        assert reads == [x for x in picks for _ in range(terms)]
+
 
 class TestPartsOnlyPool:
     """A Khatri-Rao pool kernel keeps only its parts: every product that
@@ -848,7 +878,7 @@ class TestPartsOnlyPool:
         assert w.shape == (min(m, uu.rank), uu.rank)
         fw = uu.left @ w.T
         full = 1.0 + f.eps - np.einsum("ij,ij->i", fw, fw)
-        got = functions._FactoredShiftedKernel(uu, f.eps, w).diag()
+        got = functions._LogDetTerm(uu, f.eps, w).dsq
         assert np.abs(got - full).max() <= 1e-14
 
     def test_take_row_blocks_and_row_sums_match_the_plain_factor(self, rng):

@@ -707,6 +707,12 @@ class TestConfigSections:
     def test_float_field_rejects_a_non_number(self, item, tmp_path, capsys):
         self.rejected_before_running(item, "a number", tmp_path, capsys)
 
+    @pytest.mark.parametrize("item", ["function.gc_lambda=-1", "function.eta=-1", "function.eta=-0.5"])
+    def test_weight_field_rejects_a_negative_value(self, item, tmp_path, capsys):
+        self.rejected_before_running(item, ">= 0", tmp_path, capsys)
+        weights = RunConfig.from_dict({"function": {"gc_lambda": 0, "eta": 0}}).function
+        assert (weights.gc_lambda, weights.eta) == (0, 0)
+
     def test_eps_takes_a_number_or_null(self):
         assert RunConfig.from_dict({"function": {"eps": 1}}).function.eps == 1
         assert RunConfig.from_dict({"function": {"eps": None}}).function.eps is None
@@ -799,6 +805,35 @@ def test_sweep_with_one_seed_exits_two_before_any_run(monkeypatch, tmp_path):
     )
     assert rc == 2
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--methods", "random,nope"], "unknown function kind 'nope'"),
+        (["--methods", "random,random"], "sweep lists a method twice"),
+        (["--methods", "flqmi,FLQMI"], "sweep lists a method twice"),
+        (["--methods", "random,logdetmi", "--optimizer", "lazy"], "logdetmi is not submodular"),
+        (["--scenario", "ood", "--methods", "random,entropy", "--metric", "rare_accuracy"],
+         "metric 'rare_accuracy' is absent in scenario 'ood'"),
+        (["--scenario", "redundancy", "--methods", "random,flqmi", "--metric", "rare_accuracy"],
+         "metric 'rare_accuracy' is absent in scenario 'redundancy'"),
+    ],
+)
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_with_a_bad_method_list_or_metric_exits_two_before_any_run(
+    flags, message, jobs, monkeypatch, tmp_path, capsys
+):
+    import submodal.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli.hn, "run_al", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a, **k: calls.append(k))
+    rc = cli_main(["sweep", "--scenario", "rare", *flags, "--jobs", jobs, "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert calls == []
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("alpha", ["5", "1.5", "0", "-0.1"])
