@@ -1,7 +1,7 @@
 """Command-line front end: run, sweep.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure (singular
-kernel).
+kernel, or a numpy linear-algebra error).
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def cli_main(argv) -> int:
     command = {"run": _cmd_run, "sweep": _cmd_sweep}[args.command]
     try:
         return command(args)
-    except fn.NumericalError as exc:
+    except (fn.NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -58,7 +58,10 @@ parts alone: then rows of F are read through ``FactoredKernel.rows`` and,
 over the whole pool (the pivot diagonal, graph-cut row sums, a dense cut
 of all rows), one ``factor_blocks`` block at a time, so no kind forms an
 n x rank array either.  Dense blocks remain the reference input of
-``from_joint``.
+``from_joint``.  The factored solves are numpy calls (``np.linalg.solve``
+on the Cholesky factor), so a run never imports scipy; the dense
+reference keeps scipy's ``solve_triangular`` and ``cho_solve``, imported
+where they are called, as its pinned bit-for-bit form.
 
 A ``SelectionState`` memoizes gains in one of two forms, so that they are
 cheap and a commit sequence reproduces the from-scratch value within 1e-8
@@ -82,7 +85,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .similarity import DEFAULT_LOGDET_EPS, FactoredKernel
 
@@ -220,6 +222,8 @@ class InfoFunction:
         object.__setattr__(self, "kind", kind)
         if self.eps is None:
             object.__setattr__(self, "eps", DEFAULT_LOGDET_EPS if kind in LOGDET_FAMILY else 0.0)
+        if not (math.isfinite(self.eps) and self.eps >= 0):  # before any solve reads it
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
         for name in ("gc_lambda", "eta"):  # a negative weight breaks submodularity
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -385,11 +389,13 @@ def _correction(f: InfoFunction, key: str) -> np.ndarray | None:
     if m == 0:
         return None
     if not isinstance(cross, FactoredKernel):
+        from scipy.linalg import solve_triangular
+
         return solve_triangular(_chol_of(f, key), cross.T, lower=True)
     fx = cross.right
     r = fx.shape[1]
     if m <= r:
-        return solve_triangular(_chol_of(f, key), fx, lower=True)
+        return np.linalg.solve(_chol_of(f, key), fx)
     if f.eps <= 0.0:
         raise NumericalError(
             f"singular {_SET_LABELS[key]} block: {m} points on rank-{r} factors with eps = 0"
@@ -597,9 +603,14 @@ def _conditioned_square(f: InfoFunction, sa: np.ndarray, A: np.ndarray, key: str
     cross = _cross_of(f, key)
     if _above_rank(cross):
         fa = cross.rows(A)
-        b = solve_triangular(lo, fa.T, lower=True)
+        b = np.linalg.solve(lo, fa.T)
         return sa - fa @ fa.T + f.eps * (b.T @ b)
     s_ax = _cut(cross, A)
+    if isinstance(cross, FactoredKernel):
+        y = np.linalg.solve(lo, s_ax.T)
+        return sa - y.T @ y
+    from scipy.linalg import cho_solve
+
     return sa - s_ax @ cho_solve((lo, True), s_ax.T)
 
 

@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import scenarios as sc
 from . import similarity as sim
@@ -82,7 +81,7 @@ class FunctionConfig:
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.eps is not None and self.eps < 0:
+        if self.eps is not None and not self.eps >= 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
         for name in ("gc_lambda", "eta"):  # a negative weight breaks submodularity
             if not getattr(self, name) >= 0:
@@ -170,8 +169,9 @@ _TYPED = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
 
 def _from_fields(cls, params, what: str, **defaults):
     """``cls(**defaults, **params)``, with a ValueError (exit 2) for a
-    ``params`` that is no mapping, names a field ``cls`` lacks or gives a
-    numeric or string field (``_TYPED``) a value of another type."""
+    ``params`` that is no mapping, names a field ``cls`` lacks, gives a
+    numeric or string field (``_TYPED``) a value of another type or gives
+    a float field NaN or an infinity."""
     if not isinstance(params, Mapping):
         raise ValueError(f"{what} must be a mapping of fields, got {params!r}")
     unknown = set(params) - set(cls.__dataclass_fields__)
@@ -181,6 +181,8 @@ def _from_fields(cls, params, what: str, **defaults):
         types, noun = _TYPED.get(cls.__dataclass_fields__[name].type, (object, None))
         if noun and (isinstance(value, bool) or not isinstance(value, types)):
             raise ValueError(f"{what} field {name} must be {noun}, got {value!r}")
+        if noun and isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{what} field {name} must be finite, got {value!r}")
     try:
         return cls(**{**defaults, **params})
     except (TypeError, AttributeError) as exc:  # a value of the wrong type
@@ -495,6 +497,8 @@ def penalty_matrix(traces: Mapping[str, np.ndarray], alpha: float = 0.05) -> Pen
     for name, arr in zip(methods, arrays):
         if arr.shape != (n_seeds, n_rounds):
             raise ValueError(f"trace for {name!r} has shape {arr.shape}, expected {(n_seeds, n_rounds)}")
+
+    from scipy.special import stdtrit  # only sweeps need scipy here
 
     t_crit = float(stdtrit(n_seeds - 1, 1.0 - alpha / 2.0))
     m = np.zeros((len(methods), len(methods)))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 
 @dataclass(frozen=True)
@@ -168,6 +167,8 @@ def gradient_embeddings(
 
 def uncertainty(model: SurrogateModel, features: np.ndarray) -> UncertaintyScores:
     """Entropy, top-two margin, and least-confidence per point."""
+    from scipy.special import xlogy  # only the uncertainty baselines need scipy
+
     probs = predict_proba(model, features)
     entropy = -xlogy(probs, probs).sum(axis=1)
     top2 = np.partition(probs, -2, axis=1)[:, -2:]

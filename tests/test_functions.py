@@ -329,6 +329,26 @@ class TestValidation:
             build(kind, joint, q=[4], p=[5], **{weight: -1.0})
         assert getattr(build(kind, joint, q=[4], p=[5], **{weight: 0.0}), weight) == 0.0
 
+    @pytest.mark.parametrize("kind", ["logdet", "logdetmi", "logdetcg"])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0])
+    def test_a_non_finite_or_negative_eps_is_rejected_before_any_solve(self, kind, eps, rng, monkeypatch):
+        def no_solve(*a, **k):
+            raise AssertionError("a solve ran")
+
+        for name in ("_correction", "_chol_of", "_chol_or_raise"):
+            monkeypatch.setattr(functions, name, no_solve)
+        u, q, p = random_sets(rng, 12, 4, 3, 3, dups=0)
+        fu = cosine_factors(u)
+        factored = {"uu": FactoredKernel(fu)}
+        if kind in NEEDS_Q:
+            factored["uq"] = FactoredKernel(fu, cosine_factors(q))
+        if kind in NEEDS_P:
+            factored["up"] = FactoredKernel(fu, cosine_factors(p))
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            build(kind, rescaled_cosine(rng, 8), q=[6], p=[7], eps=eps)
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            InfoFunction(kind=kind, **factored, eps=eps)
+
     def test_missing_query_square_rejected_for_logdetmi(self, rng):
         joint = rescaled_cosine(rng, 5)
         with pytest.raises(ValueError):

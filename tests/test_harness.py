@@ -496,6 +496,54 @@ class TestPenaltyMatrix:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_the_run_path_leaves_scipy_unloaded(self):
+        # import submodal and the factored runs need numpy alone; scipy
+        # serves the sweep's t quantile and the entropy baseline.
+        code = """if True:
+            import json, sys
+            import numpy as np
+            from submodal import harness
+
+            def scipy_loaded():
+                return any(m.split(".")[0] == "scipy" for m in sys.modules)
+
+            def run(scenario, params, method):
+                cfg = harness.RunConfig.from_dict(
+                    {"scenario": scenario, "scenario_params": params, "method": method,
+                     "rounds": 2, "budget": 10, "test_per_class": 20, "model": {"epochs": 60}}
+                )
+                return harness.run_al(cfg).summary["final_accuracy"]
+
+            out = {"import": scipy_loaded()}
+            runs = json.loads(sys.argv[1])
+            for scenario, params, method in runs[:-1]:
+                run(scenario, params, method)
+                out[method] = scipy_loaded()
+            traces = {"a": np.array([[0.5, 0.6], [0.4, 0.7]]), "b": np.zeros((2, 2))}
+            out["penalty_matrix"] = harness.penalty_matrix(traces).matrix.tolist()
+            out["after_penalty_matrix"] = scipy_loaded()
+            out["entropy_accuracy"] = run(*runs[-1])
+            print(json.dumps(out))
+        """
+        runs = [
+            ("rare", TINY_RARE["scenario_params"], "logdetmi"),
+            ("redundancy", {"unique_count": 120, "labeled_count": 30, "redundancy_factor": 4, "dim": 12},
+             "logdetcg"),
+            ("ood", {"labeled_per_id": 6, "unlabeled_per_id": 20, "unlabeled_per_ood": 60,
+                     "valid_per_id": 2, "dim": 12}, "flcmi"),
+            ("rare", TINY_RARE["scenario_params"], "entropy"),
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert [out[k] for k in ("import", "logdetmi", "logdetcg", "flcmi")] == [False] * 4
+        # t = 9.0 in round 1 and 13.0 in round 2, against t_crit(1 dof) = 12.71.
+        assert out["penalty_matrix"] == [[0.0, 0.5], [0.0, 0.0]]
+        assert out["after_penalty_matrix"] is True
+        assert 0.0 < out["entropy_accuracy"] <= 1.0
+
 
 class TestCli:
     def test_run_twice_is_byte_identical_modulo_timing(self, tmp_path):
@@ -544,6 +592,21 @@ class TestCli:
              "--output-dir", str(tmp_path)]
         )
         assert rc == 3
+
+    def test_a_linear_algebra_failure_exits_three(self, monkeypatch, tmp_path, capsys):
+        # np.linalg.LinAlgError subclasses ValueError, yet it is no config error.
+        def singular(*a, **k):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(functions, "_correction", singular)
+        rc = cli_main(
+            ["run", "--scenario", "redundancy", "--function", "logdetcg", "--rounds", "1",
+             "--budget", "5", "--set", "scenario_params.unique_count=120",
+             "--set", "scenario_params.labeled_count=30", "--set", "test_per_class=20",
+             "--output-dir", str(tmp_path)]
+        )
+        assert rc == 3
+        assert "numerical failure: Singular matrix" in capsys.readouterr().err
 
     def test_lazy_on_a_non_submodular_kind_exits_two(self, tmp_path, capsys):
         rc = cli_main(
@@ -712,6 +775,22 @@ class TestConfigSections:
         self.rejected_before_running(item, ">= 0", tmp_path, capsys)
         weights = RunConfig.from_dict({"function": {"gc_lambda": 0, "eta": 0}}).function
         assert (weights.gc_lambda, weights.eta) == (0, 0)
+
+    # Float fields of every section, given NaN or an infinity (JSON's
+    # NaN and Infinity, as --set parses them).
+    _NON_FINITE = [
+        "model.learning_rate=NaN", "model.l2=NaN", "model.l2=Infinity", "function.eps=NaN",
+        "function.eps=Infinity", "function.eps=-Infinity", "function.gc_lambda=Infinity",
+        "scenario_params.spread=NaN", "scenario_params.rho=Infinity", "optimizer.sg_epsilon=NaN",
+    ]
+
+    @pytest.mark.parametrize("item", _NON_FINITE)
+    def test_float_field_rejects_a_non_finite_value(self, item, monkeypatch, tmp_path, capsys):
+        def no_round(*a, **k):
+            raise AssertionError("a round started")
+
+        monkeypatch.setattr(harness, "train", no_round)
+        self.rejected_before_running(item, "finite", tmp_path, capsys)
 
     def test_eps_takes_a_number_or_null(self):
         assert RunConfig.from_dict({"function": {"eps": 1}}).function.eps == 1
