@@ -153,11 +153,9 @@ COUNT_FIELDS = ("rare_selected", "id_selected", "unique_selected")
 
 
 def _sweep_worker(payload):
-    cfg_dict, method, seed, metric = payload
+    cfg_dict, method, seed = payload
     config = hn.RunConfig.from_dict({**cfg_dict, "method": method, "seed": seed, "output_dir": None})
-    result = hn.run_al(config)
-    trace = [getattr(r, metric) for r in result.records]
-    return method, seed, trace, [r.to_dict() for r in result.records]
+    return method, seed, hn.run_al(config).records
 
 
 def _cmd_sweep(args) -> int:
@@ -174,6 +172,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError("sweep needs at least two methods")
     if args.num_seeds < 2:
         raise ValueError("sweep needs --num-seeds >= 2 (the penalty t-test is undefined on one seed)")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"--alpha must lie in (0, 1), got {args.alpha}")
     if args.metric == "rare_accuracy" and not hn.build_scenario(config)[0].rare_classes:
@@ -182,7 +182,7 @@ def _cmd_sweep(args) -> int:
     out = Path(config.output_dir) if config.output_dir else Path("runs") / f"sweep-{config.scenario}"
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(config.to_dict(), m, s, args.metric) for m in methods for s in seeds]
+    jobs = [(config.to_dict(), m, s) for m in methods for s in seeds]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outputs = list(pool.map(_sweep_worker, jobs))
@@ -191,13 +191,12 @@ def _cmd_sweep(args) -> int:
 
     traces = {m: [] for m in methods}
     counts = {m: {name: [] for name in COUNT_FIELDS} for m in methods}
-    for method, seed, trace, records in sorted(outputs, key=lambda o: (o[0], o[1])):
-        traces[method].append(trace)
+    for method, seed, records in sorted(outputs, key=lambda o: (o[0], o[1])):
+        traces[method].append([getattr(rec, args.metric) for rec in records])
         for name in COUNT_FIELDS:
-            counts[method][name].append([rec[name] for rec in records])
+            counts[method][name].append([getattr(rec, name) for rec in records])
         with open(out / f"{method}-s{seed}.jsonl", "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.writelines(hn.records_to_jsonl_line(rec) + "\n" for rec in records)
     for method in methods:
         means = [
             f"{name}/round={np.round(np.mean(per_seed, axis=0), 2).tolist()}"

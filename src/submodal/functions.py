@@ -129,11 +129,9 @@ _LOGDET_TERMS = {
 _PIVOT_FLOOR = 1e-12
 
 # A factored coverage block whose float64 form would exceed this many bytes
-# is stored in float32.  Below it the block is no larger than the rest of a
-# run's footprint (265 and 252 MiB peak on the log-det workloads), and
-# float64 keeps small factored blocks bit-equal to the dense reference.
-# Above it float32 halves the largest array of a run: 14000 points with
-# every column kept are 1.5 GB in float64.
+# is stored in float32.  Below it float64 keeps small factored blocks
+# bit-equal to the dense reference.  Above it float32 halves the largest
+# array of a run: 14000 points with every column kept are 1.5 GB in float64.
 _FLOAT64_BLOCK_BYTES = 256 << 20
 
 

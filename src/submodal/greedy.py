@@ -74,6 +74,16 @@ class SelectionResult:
     block_bytes: int = 0  # bytes of the largest coverage block built (0 without one)
 
 
+# How each count of several selections (a round's chunks, a run's rounds)
+# combines into one.  Round records carry these counts under the same names.
+TOTALS = {"evaluations": sum, "pivot_floor_hits": sum, "block_bytes": max}
+
+
+def totals(results) -> dict:
+    """The ``TOTALS`` counts of ``results``; 0 each when there are none."""
+    return {name: rule([0, *(getattr(r, name) for r in results)]) for name, rule in TOTALS.items()}
+
+
 def default_variant(ground_size: int) -> str:
     return "stochastic" if ground_size > STOCHASTIC_THRESHOLD else "lazy"
 
@@ -186,10 +196,8 @@ def partitioned_select(
     order = np.random.default_rng(cfg.seed).permutation(n)
 
     chosen: list[int] = []
-    gains: list[float] = []
-    value = 0.0
-    evals = hits = block_bytes = offset = 0
-    variant = cfg.variant
+    results: list[SelectionResult] = []
+    value, offset = 0.0, 0
     # The same even split of budget <= n and of n: quota <= size (0 only when empty).
     for i, (size, quota) in enumerate(zip(partition_sizes(n, p), partition_sizes(budget, p))):
         ids = np.sort(order[offset : offset + size])
@@ -200,20 +208,14 @@ def partitioned_select(
         chunk_cfg = replace(cfg, budget=quota, partitions=1, seed=chunk_seed)
         res = greedy_select(make_function(ids), chunk_cfg)
         chosen.extend(int(ids[local]) for local in res.chosen)
-        gains.extend(res.gains)
         value += res.value
-        evals += res.evaluations
-        hits += res.pivot_floor_hits
-        block_bytes = max(block_bytes, res.block_bytes)
-        variant = res.variant  # the same in every chunk: one kind
+        results.append(res)
     return SelectionResult(
         chosen=tuple(chosen),
-        gains=tuple(gains),
+        gains=tuple(g for res in results for g in res.gains),
         value=value,
-        evaluations=evals,
-        pivot_floor_hits=hits,
-        variant=variant,
-        block_bytes=block_bytes,
+        variant=results[0].variant if results else cfg.variant,  # one kind: one variant
+        **totals(results),
     )
 
 

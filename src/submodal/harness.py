@@ -29,7 +29,7 @@ from .functions import (
     NumericalError,
     canonical_kind,
 )
-from .greedy import VARIANTS, greedy_select, partitioned_select, plan
+from .greedy import TOTALS, VARIANTS, greedy_select, partitioned_select, plan, totals
 from .surrogate import (
     SurrogateModel,
     TrainConfig,
@@ -395,6 +395,7 @@ def run_al(
     )
 
     records: list[RoundRecord] = []
+    selections = []  # the rounds' SelectionResults (none for a baseline)
     cumulative: list[int] = []
     model = None
     function_metadata = None
@@ -418,6 +419,7 @@ def run_al(
             selected, res, function_metadata = _submodular_select(
                 config, split, model, guard, rnd
             )
+            selections.append(res)
         guard.permit(selected)  # labels revealed for the batch
         split = sc.update_ood_sets(split, selected)
         cumulative.extend(int(i) for i in selected)
@@ -430,10 +432,7 @@ def run_al(
             selected=tuple(int(i) for i in selected),
             objective=None if res is None else float(res.value),
             elapsed=time.perf_counter() - t0,
-            evaluations=None if res is None else res.evaluations,
-            variant=None if res is None else res.variant,
-            pivot_floor_hits=None if res is None else res.pivot_floor_hits,
-            block_bytes=None if res is None else res.block_bytes,
+            **{name: None if res is None else getattr(res, name) for name in ("variant", *TOTALS)},
             **metrics,
         )
         records.append(record)
@@ -446,9 +445,7 @@ def run_al(
         "final_accuracy": records[-1].accuracy,
         "final_rare_accuracy": records[-1].rare_accuracy,
         "guard_violations": guard.violations,
-        "evaluations": sum(r.evaluations or 0 for r in records),
-        "pivot_floor_hits": sum(r.pivot_floor_hits or 0 for r in records),
-        "block_bytes": max(r.block_bytes or 0 for r in records),
+        **totals(selections),
         "total_elapsed": time.perf_counter() - start,
     }
     if function_metadata is not None:

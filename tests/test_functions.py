@@ -407,6 +407,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="symmetric"):
             InfoFunction(kind="fl", uu=bad)
 
+    def test_a_large_square_block_is_spot_checked_for_symmetry(self, rng):
+        # Above 2048 points only a seeded sample of entry pairs is compared.
+        sym = cosine_block(rng.standard_normal((2100, 4)))
+        bad = sym + 1e-6 * rng.uniform(size=sym.shape)
+        with pytest.raises(ValueError, match="must be symmetric"):
+            InfoFunction(kind="gc", uu=bad)
+        assert InfoFunction(kind="gc", uu=sym).n == 2100
+
+    @pytest.mark.parametrize("kind", ["flvmi", "logdetmi"])
+    def test_a_factored_function_without_its_query_set_is_zero(self, kind, rng):
+        f = InfoFunction(kind=kind, uu=FactoredKernel(cosine_factors(rng.standard_normal((40, 5)))))
+        assert f.uq.shape == (40, 0)
+        assert evaluate(f, [0, 3, 7, 11, 20]) == 0.0
+        assert greedy_select(f, GreedyConfig(budget=4, variant="naive")).value == 0.0
+
+    @pytest.mark.parametrize("kind, plain", [("flcg", "fl"), ("logdetcg", "logdet"), ("gccg", "gc")])
+    def test_a_factored_function_without_its_conditioning_set_is_unconditioned(self, kind, plain, rng):
+        uu = FactoredKernel(cosine_factors(rng.standard_normal((40, 5))))
+        f, g = InfoFunction(kind=kind, uu=uu), InfoFunction(kind=plain, uu=uu)
+        assert f.up.shape == (40, 0)
+        assert evaluate(f, [0, 3, 7, 11, 20]) == evaluate(g, [0, 3, 7, 11, 20])
+        cfg = GreedyConfig(budget=4, variant="naive")
+        a, b = greedy_select(f, cfg), greedy_select(g, cfg)
+        assert (a.chosen, a.gains, a.value) == (b.chosen, b.gains, b.value)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown function kind"):
             canonical_kind("flqmi2")

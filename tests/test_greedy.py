@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from submodal.functions import SUBMODULAR, InfoFunction, evaluate, from_joint
 from submodal.greedy import (
     GreedyConfig,
+    SelectionResult,
     default_variant,
     exhaustive_opt,
     greedy_select,
@@ -233,6 +234,45 @@ class TestPartitioned:
         assert greedy_select(built[0], GreedyConfig(budget=2)).block_bytes == 9 * 9 * 8
         gc = from_joint("gc", joint)
         assert greedy_select(gc, GreedyConfig(budget=2)).block_bytes == 0
+
+    @pytest.mark.parametrize("kind, variant", [("logdet", "lazy"), ("fl", "naive")])
+    def test_result_combines_its_chunks_by_the_totals_rule(self, rng, kind, variant):
+        # Every point twice over a rank-4 kernel: with eps = 0 the log-det
+        # chunks pick past the rank and clamp pivots to the floor.
+        base = rescaled_cosine(rng, 12, d=3)
+        joint = base[np.ix_(np.arange(25) % 12, np.arange(25) % 12)]
+        built = []
+
+        def make(ids):
+            built.append((ids, from_joint(kind, joint[np.ix_(ids, ids)], eps=0.0)))
+            return built[-1][1]
+
+        cfg = GreedyConfig(budget=18, variant=variant, partitions=3, seed=4)
+        res = partitioned_select(make, 25, cfg)
+        own = [greedy_select(f, GreedyConfig(budget=6, variant=variant)) for _, f in built]
+        value = 0.0
+        for r in own:
+            value += r.value
+        assert len(built) == 3
+        assert res.value == value
+        assert res.evaluations == sum(r.evaluations for r in own)
+        assert res.pivot_floor_hits == sum(r.pivot_floor_hits for r in own)
+        assert res.block_bytes == max(r.block_bytes for r in own)
+        assert res.gains == tuple(g for r in own for g in r.gains)
+        assert res.chosen == tuple(int(ids[c]) for (ids, _), r in zip(built, own) for c in r.chosen)
+        assert {r.variant for r in own} == {res.variant} == {variant}
+        if kind == "logdet":
+            assert res.pivot_floor_hits > 0
+        else:
+            assert res.block_bytes == 9 * 9 * 8 < sum(r.block_bytes for r in own)
+
+    def test_empty_ground_set_gives_an_empty_result_with_the_configured_variant(self):
+        built = []
+        cfg = GreedyConfig(budget=3, variant="stochastic", partitions=3)
+        with pytest.warns(UserWarning, match="selecting all"):
+            res = partitioned_select(built.append, 0, cfg)
+        assert built == []
+        assert res == SelectionResult((), (), 0.0, 0, 0, "stochastic", 0)
 
     def test_returns_exact_budget_without_duplicates(self, rng):
         joint = rescaled_cosine(rng, 30)

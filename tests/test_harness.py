@@ -930,3 +930,20 @@ def test_sweep_with_an_alpha_outside_the_unit_interval_exits_two_before_any_run(
     assert rc == 2
     assert calls == []
     assert "--alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_with_fewer_than_one_job_exits_two_before_any_run(jobs, monkeypatch, tmp_path, capsys):
+    import submodal.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli.hn, "run_al", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a, **k: calls.append(k))
+    rc = cli_main(
+        ["sweep", "--scenario", "rare", "--methods", "random,flqmi", "--jobs", jobs,
+         "--output-dir", str(tmp_path / "out")]
+    )
+    assert rc == 2
+    assert calls == []
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

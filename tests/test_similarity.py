@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from submodal import similarity
 from submodal.similarity import (
     EmbeddingMatrix,
     FactoredKernel,
@@ -74,6 +75,19 @@ class TestCosineKernel:
         b = emb(rng.standard_normal((3, 5)))
         with pytest.raises(ValueError, match="dim mismatch"):
             cosine_kernel(a, b)
+
+    def test_row_blocked_products_match_the_one_gemm_kernel(self, rng, monkeypatch):
+        a = emb(rng.standard_normal((50, 7)))
+        b = emb(rng.standard_normal((23, 7)))
+        whole = cosine_kernel(a).data, cosine_kernel(a, b).data
+        # Both outputs (50 x 50 and 50 x 23) exceed the limit: 7 row blocks each.
+        monkeypatch.setattr(similarity, "_GEMM_BLOCK_ELEMENTS", 100)
+        monkeypatch.setattr(similarity, "_GEMM_BLOCK_ROWS", 8)
+        blocked = cosine_kernel(a), cosine_kernel(a, b)
+        for got, want in zip(blocked, whole):
+            assert got.data.shape == want.shape
+            np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-15)
+        assert np.all(np.diag(blocked[0].data) == 1.0) and blocked[0].symmetric
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 64), d=st.integers(1, 16))
