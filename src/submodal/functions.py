@@ -59,9 +59,10 @@ over the whole pool (the pivot diagonal, graph-cut row sums, a dense cut
 of all rows), one ``factor_blocks`` block at a time, so no kind forms an
 n x rank array either.  Dense blocks remain the reference input of
 ``from_joint``.  The factored solves are numpy calls (``np.linalg.solve``
-on the Cholesky factor), so a run never imports scipy; the dense
-reference keeps scipy's ``solve_triangular`` and ``cho_solve``, imported
-where they are called, as its pinned bit-for-bit form.
+on the Cholesky factor), so a run never imports scipy.  ``evaluate``'s
+Schur complements use one such solve on dense and factored blocks alike;
+only the dense correction keeps scipy's ``solve_triangular``, imported
+where it is called, because ``GREEDY_DIGESTS`` pins its floats.
 
 A ``SelectionState`` memoizes gains in one of two forms, so that they are
 cheap and a commit sequence reproduces the from-scratch value within 1e-8
@@ -206,10 +207,6 @@ class InfoFunction:
     # Conditioning corrections of the log-det family, keyed as in
     # ``_LOGDET_TERMS`` (see ``_correction``), built at construction.
     _w: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # Lower Cholesky factors of S_XX + eps I, keyed as in ``_LOGDET_TERMS``
-    # (see ``_chol_of``), kept once ``_correction`` or ``evaluate`` has
-    # computed them.
-    _chol: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # Coverage block of the facility-location family (see the module docs)
     # and its row sums, the gains at the empty selection.
     _cov: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
@@ -347,24 +344,18 @@ def _above_rank(cross) -> bool:
 
 def _chol_of(f: InfoFunction, key: str) -> np.ndarray | None:
     """Lower Cholesky factor of S_XX + eps I for conditioning set X
-    (``key`` as in ``_LOGDET_TERMS``), kept once computed (None for an
+    (``key`` as in ``_LOGDET_TERMS``), computed on every call (None for an
     empty X).  S_XX is the given dense block (the joint of qq, qp and pp
-    for "q+p") or cut from the factors of uq/up.  Above the rank of F_X
-    it is the factor of G + eps I instead, with G = F_X^T F_X (r x r; see
-    ``_conditioned_square``)."""
-    if key not in f._chol:
-        cross = _cross_of(f, key)
-        if _above_rank(cross):
-            sxx = cross.right.T @ cross.right
-        elif isinstance(f.uu, FactoredKernel):
-            sxx = FactoredKernel(cross.right).take()
-        elif key == "q+p":
-            sxx = np.block([[f.qq, f.qp], [f.qp.T, f.pp]])
-        else:
-            sxx = f.qq if key == "q" else f.pp
-        lo = _chol_or_raise(_reg(sxx, f.eps), _SET_LABELS[key]) if sxx.shape[0] else None
-        f._chol[key] = lo
-    return f._chol[key]
+    for "q+p") or cut from the factors of uq/up; no caller asks for a
+    factored X above the rank of its factors."""
+    cross = _cross_of(f, key)
+    if isinstance(f.uu, FactoredKernel):
+        sxx = FactoredKernel(cross.right).take()
+    elif key == "q+p":
+        sxx = np.block([[f.qq, f.qp], [f.qp.T, f.pp]])
+    else:
+        sxx = f.qq if key == "q" else f.pp
+    return _chol_or_raise(_reg(sxx, f.eps), _SET_LABELS[key]) if sxx.shape[0] else None
 
 
 def _correction(f: InfoFunction, key: str) -> np.ndarray | None:
@@ -509,8 +500,6 @@ def _chol_or_raise(mat: np.ndarray, label: str) -> np.ndarray:
 
 
 def _slogdet_pd(mat: np.ndarray, label: str) -> float:
-    if mat.shape[0] == 0:
-        return 0.0
     sign, logdet = np.linalg.slogdet(mat)
     if sign <= 0:
         cond = float(np.linalg.cond(mat))
@@ -593,23 +582,20 @@ def _conditioned_square(f: InfoFunction, sa: np.ndarray, A: np.ndarray, key: str
     gives F_X^T (F_X F_X^T + eps I)^-1 F_X = I - eps (G + eps I)^-1 with
     G = F_X^T F_X, so S_A|X = sa - F_A F_A^T + eps B^T B with B = L^-1 F_A^T
     and L the factor of G + eps I: r x r, with no |X| x |X| array and no
-    use of the state's corrections.
+    use of the state's corrections.  Below the rank, dense and factored
+    blocks alike give S_A|X = sa - Y^T Y with Y = L^-1 S_XA and L
+    ``_chol_of``'s factor.
     """
-    lo = _chol_of(f, key)
-    if lo is None:
-        return sa
     cross = _cross_of(f, key)
+    if cross.shape[1] == 0:
+        return sa
     if _above_rank(cross):
         fa = cross.rows(A)
+        lo = _chol_or_raise(_reg(cross.right.T @ cross.right, f.eps), _SET_LABELS[key])
         b = np.linalg.solve(lo, fa.T)
         return sa - fa @ fa.T + f.eps * (b.T @ b)
-    s_ax = _cut(cross, A)
-    if isinstance(cross, FactoredKernel):
-        y = np.linalg.solve(lo, s_ax.T)
-        return sa - y.T @ y
-    from scipy.linalg import cho_solve
-
-    return sa - s_ax @ cho_solve((lo, True), s_ax.T)
+    y = np.linalg.solve(_chol_of(f, key), _cut(cross, A).T)
+    return sa - y.T @ y
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,8 @@ def make_blobs(
     the point noise stream so pool and test draws can share geometry."""
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
+    if not spread > 0:
+        raise ValueError(f"spread must be > 0, got {spread}")
     counts = [int(c) for c in per_class_counts]
     if any(c < 0 for c in counts):
         raise ValueError("per-class counts must be nonnegative")
@@ -122,6 +124,8 @@ class _SplitConfig:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
+        if not self.spread > 0:
+            raise ValueError(f"spread must be > 0, got {self.spread}")
 
 
 @dataclass(frozen=True)

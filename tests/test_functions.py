@@ -401,6 +401,11 @@ class TestValidation:
                 eps=0.0,
             )
 
+    def test_a_singular_selection_is_rejected_by_evaluate(self):
+        # Two equal points without regularization: det(S_A) = 0.
+        with pytest.raises(NumericalError, match="non-positive-definite selection matrix"):
+            evaluate(from_joint("logdet", np.ones((3, 3)), eps=0.0), [0, 1])
+
     def test_asymmetric_square_block_rejected(self):
         bad = K3.copy()
         bad[0, 1] += 1e-3

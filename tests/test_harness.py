@@ -446,6 +446,10 @@ class TestPenaltyMatrix:
         assert pm.matrix[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert pm.matrix[1, 0] == 0.0
 
+    def test_a_single_method_rejected(self):
+        with pytest.raises(ValueError, match="needs at least two methods"):
+            penalty_matrix({"a": np.array([[0.5, 0.6], [0.52, 0.62]])})
+
     def test_single_seed_rejected(self):
         with pytest.raises(ValueError, match="2 seeds"):
             penalty_matrix({"a": np.array([[0.5, 0.6]]), "b": np.array([[0.4, 0.5]])})
@@ -607,6 +611,31 @@ class TestCli:
         )
         assert rc == 3
         assert "numerical failure: Singular matrix" in capsys.readouterr().err
+
+    def test_a_numerical_failure_in_a_round_exits_three_with_its_round(self, tmp_path, capsys):
+        # 40 conditioning points on the rank-31 factors of a dim-2 pool, unregularized.
+        rc = cli_main(
+            ["run", "--scenario", "redundancy", "--function", "logdetcg", "--rounds", "1",
+             "--budget", "5", "--set", "scenario_params.unique_count=200",
+             "--set", "scenario_params.labeled_count=40", "--set", "scenario_params.dim=2",
+             "--set", "function.eps=0", "--set", "test_per_class=10",
+             "--output-dir", str(tmp_path)]
+        )
+        assert rc == 3
+        assert (
+            "numerical failure: round 1: singular pp block: 40 points on rank-31 factors "
+            "with eps = 0" in capsys.readouterr().err
+        )
+        assert not (tmp_path / "records.jsonl").exists()
+
+    def test_run_without_an_output_dir_writes_under_runs(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        rc = cli_main(
+            ["run", "--scenario", "rare", "--function", "random", "--rounds", "1", "--budget", "5",
+             "--set", "scenario_params.unlabeled_common=60", "--set", "test_per_class=10"]
+        )
+        assert rc == 0
+        assert (tmp_path / "runs" / "rare-random-s0" / "records.jsonl").read_text().count("\n") == 1
 
     def test_lazy_on_a_non_submodular_kind_exits_two(self, tmp_path, capsys):
         rc = cli_main(
@@ -820,6 +849,9 @@ class TestConfigSections:
              "redundancy factor must be >= 1"),
             (["--scenario", "ood", "--set", "scenario_params.dim=1"], "dim must be >= 2"),
             (["--scenario", "standard", "--set", "scenario_params.dim=0"], "dim must be >= 2"),
+            (["--set", "scenario_params.spread=0"], "spread must be > 0, got 0"),
+            (["--scenario", "ood", "--set", "scenario_params.spread=-0.5"],
+             "spread must be > 0, got -0.5"),
         ],
     )
     def test_scenario_range_checks_run_before_any_output(self, flags, message, tmp_path, capsys):
@@ -848,6 +880,13 @@ class TestConfigSections:
             ["--function", "random", "--set", "model.epochs=-1"],
             ["--function", "random", "--set", "acquisition={}"],
             ["--function", "random", "--set", "test_per_class=0"],
+            ["--function", "random", "--set", "rounds"],
+            ["--function", "random", "--rounds", "0"],
+            ["--function", "random", "--budget", "0"],
+            ["--function", "random", "--set", "model.learning_rate=0"],
+            ["--function", "random", "--set", "model.l2=-1"],
+            ["--function", "flqmi", "--sg-epsilon", "1.5"],
+            ["--function", "logdetmi", "--set", "function.eps=-1"],
         ],
     )
     def test_bad_section_exits_two_before_running(self, flags, monkeypatch, tmp_path, capsys):
@@ -897,6 +936,7 @@ def test_sweep_with_one_seed_exits_two_before_any_run(monkeypatch, tmp_path):
          "metric 'rare_accuracy' is absent in scenario 'ood'"),
         (["--scenario", "redundancy", "--methods", "random,flqmi", "--metric", "rare_accuracy"],
          "metric 'rare_accuracy' is absent in scenario 'redundancy'"),
+        (["--methods", "random"], "sweep needs at least two methods"),
     ],
 )
 @pytest.mark.parametrize("jobs", ["1", "2"])

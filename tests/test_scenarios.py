@@ -52,6 +52,11 @@ class TestMakeBlobs:
         with pytest.raises(ValueError, match="dim"):
             make_blobs([3], dim=1, spread=1.0, seed=0)
 
+    @pytest.mark.parametrize("spread", [0.0, -0.5])
+    def test_rejects_a_spread_that_is_not_positive(self, spread):
+        with pytest.raises(ValueError, match=f"spread must be > 0, got {spread}"):
+            make_blobs([3], dim=2, spread=spread, seed=0)
+
 
 class TestRareSplit:
     def test_cifar_layout_counts_rho_twenty(self):
