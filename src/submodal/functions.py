@@ -524,8 +524,11 @@ def _reg(square: np.ndarray, eps: float) -> np.ndarray:
 
 def evaluate(f: InfoFunction, selection: Sequence[int]) -> float:
     """Value of the closed-form expression at selection A, from scratch."""
-    A = np.asarray(sorted(set(int(i) for i in selection)), dtype=np.intp)
-    if len(A) != len(list(selection)):
+    items = list(selection)
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in items):
+        raise ValueError("selection must hold integer indices")
+    A = np.asarray(sorted(set(int(i) for i in items)), dtype=np.intp)
+    if len(A) != len(items):
         raise ValueError("selection contains duplicate indices")
     if A.size and (A.min() < 0 or A.max() >= f.n):
         raise IndexError(f"selection index out of range for ground set of size {f.n}")

@@ -146,11 +146,6 @@ class RunConfig:
                 payload[key] = _from_fields(sub, payload[key], key)
         return _from_fields(cls, payload, "config")
 
-    @classmethod
-    def from_json(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -464,8 +459,6 @@ def run_al(
 class PenaltyMatrix:
     methods: tuple[str, ...]
     matrix: np.ndarray
-    alpha: float
-    n_rounds: int
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -513,7 +506,7 @@ def penalty_matrix(traces: Mapping[str, np.ndarray], alpha: float = 0.05) -> Pen
                     m[i, j] += 1.0 / n_rounds
                 elif t < -t_crit:
                     m[j, i] += 1.0 / n_rounds
-    return PenaltyMatrix(methods=methods, matrix=m, alpha=alpha, n_rounds=n_rounds)
+    return PenaltyMatrix(methods=methods, matrix=m)
 
 
 def records_to_jsonl_line(record: RoundRecord) -> str:

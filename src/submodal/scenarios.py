@@ -17,7 +17,7 @@ class and builder.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -124,6 +124,11 @@ class _SplitConfig:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
+        # Counts, class numbers and the seed: 0 is a legal value of each.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in (int, "int") and value < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {value}")
         if not self.spread > 0:
             raise ValueError(f"spread must be > 0, got {self.spread}")
 

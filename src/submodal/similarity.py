@@ -7,6 +7,9 @@ and a Gram matrix) and keeps every downstream formula that assumes
 nonnegative similarities well behaved.  The same convex combination
 gives every block a factorization F_a F_b^T with F = [1, a_hat] / sqrt(2)
 of rank D + 1, which every function kind uses instead of an n x n block.
+A dense block is a ``FactoredKernel.take`` product, in its row blocks;
+the dense ``cosine_kernel`` is one too, the ``take`` of the unit rows
+a_hat against b_hat, clipped and rescaled.
 
 A BADGE gradient embedding g = r outer x (residual r = p - e_y over C
 classes, biased input x = [x; 1]) has cos(g_i, g_j) = cos(r_i, r_j)
@@ -22,7 +25,6 @@ rows, so it checks the parts arithmetic of ``dot`` and ``row_blocks``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,28 +35,18 @@ DEFAULT_LOGDET_EPS = 1e-2
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """A stack of row vectors with stable external identifiers."""
+    """A stack of finite row vectors; errors name a row by its index."""
 
     data: np.ndarray
-    ids: np.ndarray
 
     def __post_init__(self):
         data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
         if data.ndim != 2:
             raise ValueError(f"embedding matrix must be 2-D, got shape {data.shape}")
-        ids = np.asarray(self.ids)
-        if ids.shape != (data.shape[0],):
-            raise ValueError(
-                f"ids must align with rows: {ids.shape[0] if ids.ndim else 0} ids "
-                f"for {data.shape[0]} rows"
-            )
-        if len(np.unique(ids)) != len(ids):
-            raise ValueError("ids must be unique")
         if not np.all(np.isfinite(data)):
             bad = np.where(~np.isfinite(data).all(axis=1))[0][0]
-            raise ValueError(f"non-finite entries in row id={ids[bad].item()!r}")
+            raise ValueError(f"non-finite entries in row id={bad}")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "ids", ids)
 
     @property
     def rows(self) -> int:
@@ -65,11 +57,8 @@ class EmbeddingMatrix:
         return self.data.shape[1]
 
     @classmethod
-    def from_array(cls, data: np.ndarray, ids: Sequence | None = None) -> "EmbeddingMatrix":
-        data = np.asarray(data, dtype=np.float64)
-        if ids is None:
-            ids = np.arange(data.shape[0])
-        return cls(data=data, ids=np.asarray(ids))
+    def from_array(cls, data: np.ndarray) -> "EmbeddingMatrix":
+        return cls(data=data)
 
 
 @dataclass(frozen=True)
@@ -88,27 +77,6 @@ class SimilarityKernel:
             raise ValueError("symmetric kernel must be square")
         object.__setattr__(self, "data", data)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-
-# Outputs above this element count are computed in row blocks: one huge
-# GEMM call corrupts the heap on some OpenBLAS builds, and blocking also
-# caps the workspace.
-_GEMM_BLOCK_ELEMENTS = 1 << 24
-_GEMM_BLOCK_ROWS = 4096
-
-
-def _big_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[0] * b.shape[0] <= _GEMM_BLOCK_ELEMENTS:
-        return a @ b.T
-    out = np.empty((a.shape[0], b.shape[0]))
-    bt = b.T
-    for i in range(0, a.shape[0], _GEMM_BLOCK_ROWS):
-        np.matmul(a[i : i + _GEMM_BLOCK_ROWS], bt, out=out[i : i + _GEMM_BLOCK_ROWS])
-    return out
-
 
 # Rows per block of the row-norm pass: its squared temporary stays
 # _NORM_BLOCK_ROWS x D instead of n x D.
@@ -125,7 +93,7 @@ def _row_norms(emb: EmbeddingMatrix) -> np.ndarray:
     zero = norms <= 0.0
     if np.any(zero):
         bad = np.where(zero)[0][0]
-        raise ValueError(f"zero-norm embedding row id={emb.ids[bad].item()!r}")
+        raise ValueError(f"zero-norm embedding row id={bad}")
     return norms
 
 
@@ -136,22 +104,19 @@ def _normalized_rows(emb: EmbeddingMatrix) -> np.ndarray:
 def cosine_kernel(a: EmbeddingMatrix, b: EmbeddingMatrix | None = None) -> SimilarityKernel:
     """Rescaled cosine kernel between two embedding matrices.
 
-    Raw cosines in [-1, 1] map to (1 + s) / 2 in [0, 1].  The kernel is
-    marked symmetric iff ``b`` is the same matrix as ``a`` (or omitted),
-    in which case the diagonal is pinned to exactly 1.
+    The raw cosines are ``FactoredKernel.take`` products of unit rows, in
+    its row blocks, clipped to [-1, 1] and mapped to (1 + s) / 2 in [0, 1].
+    The kernel is marked symmetric iff ``b`` is the same matrix as ``a``
+    (or omitted), in which case ``take`` pins the diagonal to exactly 1.
     """
     same = b is None or b is a
     bm = a if same else b
     if a.dim != bm.dim:
         raise ValueError(f"embedding dim mismatch: {a.dim} vs {bm.dim}")
-    an = _normalized_rows(a)
-    bn = an if same else _normalized_rows(bm)
-    rescaled = _big_matmul(an, bn)
+    rescaled = FactoredKernel(_normalized_rows(a), None if same else _normalized_rows(bm)).take()
     np.clip(rescaled, -1.0, 1.0, out=rescaled)
     rescaled += 1.0
     rescaled *= 0.5
-    if same:
-        np.fill_diagonal(rescaled, 1.0)
     return SimilarityKernel(data=rescaled, symmetric=same)
 
 
@@ -193,7 +158,7 @@ def khatri_rao_factors(resid: np.ndarray, xb: np.ndarray) -> "FactoredKernel":
     x = EmbeddingMatrix.from_array(xb)
     if r.rows != x.rows:
         raise ValueError(f"parts must align: {r.rows} vs {x.rows} rows")
-    return FactoredKernel(parts=(r.data / _row_norms(r)[:, None], x.data / _row_norms(x)[:, None]))
+    return FactoredKernel(parts=(_normalized_rows(r), _normalized_rows(x)))
 
 
 # Rows per block when a factored block is multiplied out: each row block

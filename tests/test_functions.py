@@ -448,6 +448,25 @@ class TestValidation:
         with pytest.raises(IndexError):
             evaluate(f, [3])
 
+    @pytest.mark.parametrize(
+        "make, ok",
+        [
+            (lambda: iter([0, 1]), True),
+            (lambda: [0, 1.5], False),
+            (lambda: [True, False], False),
+            (lambda: np.array([[0, 1]]), False),
+            (lambda: np.array([0.0, 1.0]), False),
+        ],
+        ids=["iterator", "float", "bool", "row", "float-array"],
+    )
+    def test_evaluate_reads_its_selection_once_as_integer_indices(self, make, ok):
+        f = build("fl", K3)
+        if ok:
+            assert evaluate(f, make()) == evaluate(f, [0, 1])
+        else:
+            with pytest.raises(ValueError, match="selection must hold integer indices"):
+                evaluate(f, make())
+
     def test_only_pool_blocks_may_be_factored(self, rng):
         fu = cosine_factors(rng.standard_normal((5, 3)))
         with pytest.raises(ValueError, match="factored qq"):

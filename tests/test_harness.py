@@ -57,7 +57,7 @@ class TestRunConfig:
         cfg = tiny_config(method="flqmi", seed=9)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_dict()))
-        assert RunConfig.from_json(path) == cfg
+        assert RunConfig.from_dict(json.loads(path.read_text())) == cfg
 
     def test_budget_times_rounds_bounded_by_pool(self):
         cfg = tiny_config(method="random", rounds=100, budget=50)
@@ -852,6 +852,10 @@ class TestConfigSections:
             (["--set", "scenario_params.spread=0"], "spread must be > 0, got 0"),
             (["--scenario", "ood", "--set", "scenario_params.spread=-0.5"],
              "spread must be > 0, got -0.5"),
+            (["--set", "scenario_params.valid_per_class=-1"], "valid_per_class must be >= 0, got -1"),
+            (["--scenario", "redundancy", "--set", "scenario_params.labeled_count=-5"],
+             "labeled_count must be >= 0, got -5"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
         ],
     )
     def test_scenario_range_checks_run_before_any_output(self, flags, message, tmp_path, capsys):
