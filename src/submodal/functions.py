@@ -47,22 +47,25 @@ Dense input keeps a float64 block at every size.
 Every kind also runs on rank-(D+1) factors (``FactoredKernel`` uu, uq
 and up), as the harness builds them, and never forms an n x n block:
 the log-det kinds read one row of F per term and commit, the graph-cut
-kinds read row sums F (F_X^T 1) and one kernel row per commit, and
-flqmi/gcmi cut their small dense n x |Q| block from the factors.  On
-factors the log-det kinds condition on Q and P from F_Q and F_P alone
-(qq, pp and qp are not given): each set becomes a correction W of at
-most D+1 rows, and no |X| x |X| block is formed above that rank.  ``evaluate`` conditions on
-a set above the rank through the r x r Gram matrix of its factors too,
-with its own Cholesky solve.  A pool factor may be held as Khatri-Rao
-parts alone: then rows of F are read through ``FactoredKernel.rows`` and,
-over the whole pool (the pivot diagonal, graph-cut row sums, a dense cut
-of all rows), one ``factor_blocks`` block at a time, so no kind forms an
-n x rank array either.  Dense blocks remain the reference input of
-``from_joint``.  The factored solves are numpy calls (``np.linalg.solve``
-on the Cholesky factor), so a run never imports scipy.  ``evaluate``'s
-Schur complements use one such solve on dense and factored blocks alike;
-only the dense correction keeps scipy's ``solve_triangular``, imported
-where it is called, because ``GREEDY_DIGESTS`` pins its floats.
+kinds read row sums F (F_X^T 1) and, per commit, the kernel row F F_x
+from row x of F, and flqmi/gcmi cut their small dense n x |Q| block from
+the factors.  On factors the log-det kinds condition on Q and P from F_Q
+and F_P alone (qq, pp and qp are not given): each set becomes a
+correction W of at most D+1 rows, and no |X| x |X| block is formed above
+that rank.  ``evaluate`` conditions on a set above the rank through the
+r x r Gram matrix of its factors too, with its own Cholesky solve.  A
+pool factor may be held as Khatri-Rao parts alone: then rows of F are
+read through ``FactoredKernel.rows`` and, over the whole pool (the pivot
+diagonal, graph-cut row sums, a dense cut of all rows), one
+``factor_blocks`` block at a time, so no kind forms an n x rank array
+either.
+
+The log-det kinds have one path that runs, the factored one, and
+``from_joint`` builds them on factors too, so the acceptance gate checks
+that path.  Dense log-det blocks (uu with qq, pp and qp) are still
+accepted: they are the reference the factored path is tested against.
+Every solve, dense or factored, is a numpy call (``np.linalg.solve`` on
+a Cholesky factor), and this module imports numpy alone.
 
 A ``SelectionState`` memoizes gains in one of two forms, so that they are
 cheap and a commit sequence reproduces the from-scratch value within 1e-8
@@ -245,8 +248,6 @@ class InfoFunction:
             if self.uu is None:
                 raise ValueError(f"{kind} requires the square U x U block")
             uu = _as_block(self.uu)
-            if uu.shape[0] != uu.shape[1]:
-                raise ValueError(f"U x U block must be square, got {uu.shape}")
             _check_symmetric(uu)
             n = uu.shape[0]
             object.__setattr__(self, "uu", uu)
@@ -342,12 +343,12 @@ def _above_rank(cross) -> bool:
     return isinstance(cross, FactoredKernel) and cross.shape[1] > cross.rank
 
 
-def _chol_of(f: InfoFunction, key: str) -> np.ndarray | None:
-    """Lower Cholesky factor of S_XX + eps I for conditioning set X
-    (``key`` as in ``_LOGDET_TERMS``), computed on every call (None for an
-    empty X).  S_XX is the given dense block (the joint of qq, qp and pp
-    for "q+p") or cut from the factors of uq/up; no caller asks for a
-    factored X above the rank of its factors."""
+def _chol_of(f: InfoFunction, key: str) -> np.ndarray:
+    """Lower Cholesky factor of S_XX + eps I for a nonempty conditioning
+    set X (``key`` as in ``_LOGDET_TERMS``), computed on every call.  S_XX
+    is the given dense block (the joint of qq, qp and pp for "q+p") or cut
+    from the factors of uq/up; no caller asks for a factored X above the
+    rank of its factors."""
     cross = _cross_of(f, key)
     if isinstance(f.uu, FactoredKernel):
         sxx = FactoredKernel(cross.right).take()
@@ -355,7 +356,7 @@ def _chol_of(f: InfoFunction, key: str) -> np.ndarray | None:
         sxx = np.block([[f.qq, f.qp], [f.qp.T, f.pp]])
     else:
         sxx = f.qq if key == "q" else f.pp
-    return _chol_or_raise(_reg(sxx, f.eps), _SET_LABELS[key]) if sxx.shape[0] else None
+    return _chol_or_raise(_reg(sxx, f.eps), _SET_LABELS[key])
 
 
 def _correction(f: InfoFunction, key: str) -> np.ndarray | None:
@@ -378,9 +379,7 @@ def _correction(f: InfoFunction, key: str) -> np.ndarray | None:
     if m == 0:
         return None
     if not isinstance(cross, FactoredKernel):
-        from scipy.linalg import solve_triangular
-
-        return solve_triangular(_chol_of(f, key), cross.T, lower=True)
+        return np.linalg.solve(_chol_of(f, key), cross.T)
     fx = cross.right
     r = fx.shape[1]
     if m <= r:
@@ -474,10 +473,12 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _check_symmetric(uu: np.ndarray, tol: float = 1e-10) -> None:
-    """Selection states read rows of the ground kernel where the formulas
-    say columns, which requires symmetry.  Full check up to n=2048, a
-    seeded spot check above (BLAS kernels are symmetric to ulps)."""
+    """Reject a ground kernel that is not square and symmetric: selection
+    states read rows where the formulas say columns.  Full check up to
+    n=2048, a seeded spot check above (BLAS kernels are symmetric to ulps)."""
     n = uu.shape[0]
+    if uu.shape != (n, n):
+        raise ValueError(f"U x U block must be square, got {uu.shape}")
     if n <= 2048:
         bad = np.abs(uu - uu.T).max() if n else 0.0
     else:
@@ -781,7 +782,12 @@ class SelectionState:
         if self._cov is not None:
             np.maximum(self._covered, self._cov[x], out=self._covered)
         if self._cross is not None:
-            self._cross += _cut(self.f.uu, [x])[0]
+            # Kernel row x (= column x: uu is symmetric), on factors F F_x,
+            # one matvec with no other row of F built.
+            uu = self.f.uu
+            row = uu.dot(uu.rows(x)) if isinstance(uu, FactoredKernel) else uu[x].copy()
+            row[x] = self._diag[x]  # S_xx as gains read it: the pinned 1 on factors
+            self._cross += row
         for _, term in self._terms:
             term.commit(x)
         self._mask[x] = True
@@ -855,19 +861,21 @@ def from_joint(
 
     The selectable ground set is the full index range of ``joint``; Q and
     P are index lists into it.  Used by the definitional-identity tests
-    and the Table-1 reduction checks.
+    and the Table-1 reduction checks.  The log-det kinds are built as runs
+    build them, on factors: ``joint`` must be symmetric with a unit
+    diagonal (the factored form pins it), and F = V sqrt(max(lam, 0)) from
+    its eigendecomposition gives uu = F F^T and the Q/P crosses F F_X^T.
+    Every other kind gets the dense blocks it reads.
     """
     joint = _as_block(joint)
     Q = np.asarray(query if query is not None else [], dtype=np.intp)
     P = np.asarray(conditioning if conditioning is not None else [], dtype=np.intp)
-    # Each kind keeps the blocks it reads (READS_Q/READS_P) and drops the rest.
-    return InfoFunction(
-        kind=kind,
-        uu=joint,
-        uq=joint[:, Q],
-        up=joint[:, P],
-        qq=joint[np.ix_(Q, Q)],
-        pp=joint[np.ix_(P, P)],
-        qp=joint[np.ix_(Q, P)],
-        **kwargs,
-    )
+    if canonical_kind(kind) not in LOGDET_FAMILY:
+        # Each kind keeps the blocks it reads (READS_Q/READS_P) and drops the rest.
+        return InfoFunction(kind=kind, uu=joint, uq=joint[:, Q], up=joint[:, P], **kwargs)
+    _check_symmetric(joint)
+    if not np.all(joint.diagonal() == 1.0):
+        raise ValueError("a log-det joint kernel must have a unit diagonal")
+    lam, vecs = np.linalg.eigh(joint)
+    uu = FactoredKernel(vecs * np.sqrt(np.maximum(lam, 0.0)))
+    return InfoFunction(kind=kind, uu=uu, uq=uu.cross(uu.left[Q]), up=uu.cross(uu.left[P]), **kwargs)

@@ -290,10 +290,6 @@ class FactoredKernel:
     def take(self, rows=None, cols=None) -> np.ndarray:
         """Dense sub-block at index arrays ``rows`` x ``cols`` (None = all),
         each row block of F multiplied by the built columns of the factor."""
-        if self.symmetric and cols is None and rows is not None:
-            # The block is symmetric: all columns of a few rows are the
-            # transposed rows of those columns, and F is only built in blocks.
-            return np.ascontiguousarray(self.take(cols=rows).T)
         whole = rows is None and cols is None
         rows = None if rows is None else np.asarray(rows, dtype=np.intp)
         cols = slice(None) if cols is None else np.asarray(cols, dtype=np.intp)

@@ -349,6 +349,30 @@ class TestValidation:
         with pytest.raises(ValueError, match="eps must be finite and >= 0"):
             InfoFunction(kind=kind, **factored, eps=eps)
 
+    @pytest.mark.parametrize("kind", sorted(LOGDET_FAMILY))
+    def test_from_joint_builds_the_log_det_kinds_on_factors(self, kind, rng):
+        f = build(kind, rescaled_cosine(rng, 10), q=[8], p=[9])
+        assert isinstance(f.uu, FactoredKernel) and f.uu.symmetric
+        assert (f.qq, f.pp, f.qp) == (None, None, None)
+        for name, needs in (("uq", NEEDS_Q), ("up", NEEDS_P)):
+            block = getattr(f, name)
+            if kind in needs:
+                assert block.shares_rows(f.uu) and block.shape == (10, 1)
+            else:
+                assert block is None
+
+    @pytest.mark.parametrize("kind", sorted(LOGDET_FAMILY))
+    def test_from_joint_rejects_a_log_det_joint_it_cannot_factor(self, kind, rng):
+        joint = rescaled_cosine(rng, 6)
+        with pytest.raises(ValueError, match=r"must be square, got \(5, 6\)"):
+            build(kind, joint[:5], q=[3], p=[4])
+        with pytest.raises(ValueError, match="must have a unit diagonal"):
+            build(kind, joint + 1e-2 * np.eye(6), q=[4], p=[5])  # pre-regularized
+        bad = joint.copy()
+        bad[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="must be symmetric"):
+            build(kind, bad, q=[4], p=[5])
+
     def test_missing_query_square_rejected_for_logdetmi(self, rng):
         joint = rescaled_cosine(rng, 5)
         with pytest.raises(ValueError):
@@ -365,8 +389,8 @@ class TestValidation:
         joint = rescaled_cosine(rng, 10)
         blocks = self.cmi_blocks(joint, [8], [9])
         f = InfoFunction("logdetcmi", **blocks)
-        ref = from_joint("logdetcmi", joint, query=[8], conditioning=[9])
-        assert evaluate(f, [0, 1, 2]) == evaluate(ref, [0, 1, 2])
+        ref = evaluate(from_joint("logdetcmi", joint, query=[8], conditioning=[9]), [0, 1, 2])
+        assert abs(evaluate(f, [0, 1, 2]) - ref) <= 1e-12 * abs(ref)
         del blocks["qp"]
         with pytest.raises(ValueError, match=r"qp block of shape \(1, 1\) is required"):
             InfoFunction("logdetcmi", **blocks)
@@ -375,8 +399,13 @@ class TestValidation:
         joint = rescaled_cosine(rng, 10)
         f = InfoFunction("logdetcmi", uu=joint, uq=joint[:, [8]], qq=joint[np.ix_([8], [8])])
         assert f.up.shape == (10, 0) and f.pp.shape == (0, 0) and f.qp.shape == (1, 0)
-        ref = from_joint("logdetcmi", joint, query=[8], conditioning=[])
-        assert evaluate(f, [0, 1, 2]) == evaluate(ref, [0, 1, 2])
+        explicit = InfoFunction(
+            "logdetcmi", uu=joint, uq=joint[:, [8]], up=joint[:, []], qq=joint[np.ix_([8], [8])],
+            pp=np.zeros((0, 0)), qp=np.zeros((1, 0)),
+        )
+        assert evaluate(f, [0, 1, 2]) == evaluate(explicit, [0, 1, 2])
+        ref = evaluate(from_joint("logdetcmi", joint, query=[8], conditioning=[]), [0, 1, 2])
+        assert abs(evaluate(f, [0, 1, 2]) - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize(
         "name,bad,expected",
@@ -403,8 +432,9 @@ class TestValidation:
 
     def test_a_singular_selection_is_rejected_by_evaluate(self):
         # Two equal points without regularization: det(S_A) = 0.
-        with pytest.raises(NumericalError, match="non-positive-definite selection matrix"):
-            evaluate(from_joint("logdet", np.ones((3, 3)), eps=0.0), [0, 1])
+        for uu in (np.ones((3, 3)), FactoredKernel(np.ones((3, 1)))):
+            with pytest.raises(NumericalError, match="non-positive-definite selection matrix"):
+                evaluate(InfoFunction("logdet", uu=uu, eps=0.0), [0, 1])
 
     def test_asymmetric_square_block_rejected(self):
         bad = K3.copy()
@@ -580,6 +610,10 @@ def dense_and_factored(kind, u, q, p, **kw):
 # Conditioning sets above the factor rank d + 1 = 3.
 @example(seed=7, kind="logdetcg", n=12, d=2, n_q=0, n_p=4, dups=1)
 @example(seed=8, kind="logdetcmi", n=12, d=2, n_q=3, n_p=4, dups=2)
+# Pool points that copy two different query rows tie in exact arithmetic.
+@example(seed=1, kind="logdetmi", n=7, d=2, n_q=2, n_p=3, dups=2)
+@example(seed=2, kind="logdetmi", n=7, d=2, n_q=2, n_p=4, dups=2)
+@example(seed=18, kind="logdetcmi", n=20, d=2, n_q=2, n_p=0, dups=2)
 def test_factored_logdet_matches_dense_property(seed, kind, n, d, n_q, n_p, dups):
     g = np.random.default_rng(seed)
     f_dense, f_fact = dense_and_factored(kind, *random_sets(g, n, d, n_q, n_p, dups))
@@ -595,13 +629,25 @@ def test_factored_logdet_matches_dense_property(seed, kind, n, d, n_q, n_p, dups
         ref = evaluate(f_dense, A)
         assert abs(evaluate(f_fact, A) - ref) <= max(1e-8, 1e-6 * abs(ref))
 
-    # Duplicated rows make exactly tied candidates, which rounding orders;
-    # the two lazy runs then agree in their gains, and otherwise in picks.
+    # Duplicated rows make candidates that tie in exact arithmetic (copies
+    # of one point, or of two different query rows), which rounding orders
+    # differently in the two forms.  The lazy runs agree in picks without
+    # duplicates; otherwise they agree in gains up to their first differing
+    # pick, and there the two picks tie within 1e-12 in both states.
     cfg = GreedyConfig(budget=max(1, n // 2), variant="lazy")
     lazy_dense, lazy_fact = greedy_select(f_dense, cfg), greedy_select(f_fact, cfg)
-    assert np.abs(np.subtract(lazy_fact.gains, lazy_dense.gains)).max() <= 1e-12
     if dups == 0:
         assert lazy_fact.chosen == lazy_dense.chosen
+    picks = list(zip(lazy_dense.chosen, lazy_fact.chosen))
+    k = next((i for i, (a, b) in enumerate(picks) if a != b), len(picks))
+    assert np.abs(np.subtract(lazy_fact.gains[:k], lazy_dense.gains[:k])).max(initial=0.0) <= 1e-12
+    if k < len(picks):
+        for f in (f_dense, f_fact):
+            state = new_state(f)
+            for x in lazy_dense.chosen[:k]:
+                state.commit(x)
+            tied = state.gains(np.array(picks[k]))
+            assert abs(tied[0] - tied[1]) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["flvmi", "flqmi", "gcmi", "logdetmi", "flcmi", "logdetcmi"])
@@ -925,6 +971,22 @@ class TestKhatriRaoPool:
         terms = len(functions._LOGDET_TERMS[kind])
         assert len(picks) == 12
         assert reads == [x for x in picks for _ in range(terms)]
+
+    @pytest.mark.parametrize("kind", ["gc", "gccg"])
+    def test_a_graph_cut_commit_reads_one_kernel_row(self, kind, rng, monkeypatch):
+        uu, _, fp = khatri_rao_sets(rng, 300, self.C, self.D1, n_q=0, n_p=10)
+        dense = InfoFunction(kind=kind, uu=uu.take(), up=uu.cross(fp).take())
+        f = InfoFunction(kind=kind, uu=uu, up=uu.cross(fp))
+
+        def no_take(*args, **kwargs):
+            raise AssertionError("a dense block was built")
+
+        monkeypatch.setattr(FactoredKernel, "take", no_take)
+        got, want = new_state(f), new_state(dense)
+        for x in rng.permutation(f.n):
+            got.commit(int(x))
+            want.commit(int(x))
+            assert np.abs(got._cross - want._cross).max() <= 2e-15 * want._cross.max()
 
 
 class TestPartsOnlyPool:

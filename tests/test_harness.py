@@ -1,13 +1,16 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import submodal
 from submodal import functions, harness, similarity
 from submodal.cli import cli_main
 from submodal.functions import ALL_KINDS, NumericalError
@@ -34,6 +37,16 @@ TINY_RARE = {
 
 def tiny_config(**over):
     return RunConfig.from_dict({**TINY_RARE, **over})
+
+
+def child_env() -> dict:
+    """The environment for a child interpreter, with the directory that
+    holds the imported ``submodal`` first on its path, so the child
+    imports the same package from an uninstalled checkout too."""
+    env = dict(os.environ)
+    paths = [str(Path(submodal.__file__).parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return env
 
 
 class TestRunConfig:
@@ -497,7 +510,9 @@ class TestPenaltyMatrix:
         # The t quantile comes from scipy.special; scipy.stats would add
         # about a second to every interpreter that imports the package.
         code = "import sys, submodal; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env()
+        )
         assert out.stdout.strip() == "False"
 
     def test_the_run_path_leaves_scipy_unloaded(self):
@@ -538,7 +553,8 @@ class TestPenaltyMatrix:
             ("rare", TINY_RARE["scenario_params"], "entropy"),
         ]
         proc = subprocess.run(
-            [sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True
+            [sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
