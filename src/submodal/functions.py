@@ -46,10 +46,11 @@ Dense input keeps a float64 block at every size.
 
 Every kind also runs on rank-(D+1) factors (``FactoredKernel`` uu, uq
 and up), as the harness builds them, and never forms an n x n block:
-the log-det kinds read one row of F per term and commit, the graph-cut
-kinds read row sums F (F_X^T 1) and, per commit, the kernel row F F_x
-from row x of F, and flqmi/gcmi cut their small dense n x |Q| block from
-the factors.  On factors the log-det kinds condition on Q and P from F_Q
+the log-det kinds read one row of F per commit and expand the new
+Cholesky columns of all their terms in one ``FactoredKernel.dot``, the
+graph-cut kinds read row sums F (F_X^T 1) and, per commit, the kernel row
+F F_x from row x of F, and flqmi/gcmi cut their small dense n x |Q| block
+from the factors.  On factors the log-det kinds condition on Q and P from F_Q
 and F_P alone (qq, pp and qp are not given): each set becomes a
 correction W of at most D+1 rows, and no |X| x |X| block is formed above
 that rank.  ``evaluate`` conditions on a set above the rank through the
@@ -613,8 +614,11 @@ class _LogDetTerm:
 
     Keeps every ground point's squared residual pivot ``dsq``, so a gain
     is an O(1) lookup, and the Cholesky columns ``cof`` of the committed
-    set.  A commit reads row j of S_UU once and subtracts the earlier
-    columns, weighted by their entries in row j.
+    set.  A commit is split in two, so that the selection state reads
+    row j once for all its terms: ``column`` forms the new column from
+    row j of S_UU and subtracts the earlier columns, weighted by their
+    entries in row j, and ``lower`` takes the squares of the new column's
+    entries off the pivots.
 
     On a dense S_UU a column is an n-vector, O(n |A|) per commit.  On
     factors S_UU = F F^T (unit diagonal) a column a is kept in the basis
@@ -623,12 +627,13 @@ class _LogDetTerm:
     the pinned unit diagonal; both touch only entry j, which the pivots
     carry and which no later commit reads.  The pivots start at
     1 + eps - |W F_i|^2, read one ``factor_blocks`` block at a time, and a
-    commit reads its row through ``FactoredKernel.rows``: no n x rank
-    array is formed.
+    commit's row F_j comes from ``FactoredKernel.rows``: no n x rank array
+    is formed.  The entries F a of every term's new column come from one
+    ``FactoredKernel.dot`` over the stacked columns.
     """
 
     def __init__(self, uu: np.ndarray | FactoredKernel, eps: float, w: np.ndarray | None = None):
-        self.uu, self.eps, self.w = uu, eps, w
+        self.eps, self.w = eps, w
         self.factored = isinstance(uu, FactoredKernel)
         if self.factored:
             self.dsq = np.full(uu.shape[0], 1.0 + eps)
@@ -646,7 +651,9 @@ class _LogDetTerm:
     def gain(self, x) -> float | np.ndarray:
         return np.log(np.maximum(self.dsq[x], _PIVOT_FLOOR))
 
-    def commit(self, j: int) -> None:
+    def column(self, j: int, row: np.ndarray) -> np.ndarray:
+        """Append and return the Cholesky column of j, given ``row``: row
+        j of F on factors, of S_UU on a dense uu."""
         dj2 = self.dsq[j]
         if dj2 < _PIVOT_FLOOR:
             dj2 = _PIVOT_FLOOR
@@ -655,10 +662,8 @@ class _LogDetTerm:
             self.cof = np.concatenate([self.cof, np.zeros_like(self.cof)], axis=1)
         w = self.w
         if self.factored:
-            row = self.uu.rows(j)
             a = row.copy() if w is None else row - w.T @ (w @ row)
-        else:
-            row = self.uu[j]  # = column j: the kernel is symmetric
+        else:  # row j = column j: the kernel is symmetric
             a = row.copy()
             a[j] += self.eps
             if w is not None:
@@ -669,7 +674,11 @@ class _LogDetTerm:
         a /= math.sqrt(dj2)
         self.cof[:, self.k] = a
         self.k += 1
-        e = self.uu.dot(a) if self.factored else a
+        return a
+
+    def lower(self, e: np.ndarray) -> None:
+        """Lower each pivot i by e_i^2, with e the new column over the
+        ground set (F a on factors)."""
         self.dsq -= e * e
 
 
@@ -788,8 +797,14 @@ class SelectionState:
             row = uu.dot(uu.rows(x)) if isinstance(uu, FactoredKernel) else uu[x].copy()
             row[x] = self._diag[x]  # S_xx as gains read it: the pinned 1 on factors
             self._cross += row
-        for _, term in self._terms:
-            term.commit(x)
+        if self._terms:
+            # One row read and, on factors, one product for all terms.
+            uu = self.f.uu
+            factored = isinstance(uu, FactoredKernel)
+            row = uu.rows(x) if factored else uu[x]
+            cols = [term.column(x, row) for _, term in self._terms]
+            for (_, term), e in zip(self._terms, uu.dot(np.stack(cols)) if factored else cols):
+                term.lower(e)
         self._mask[x] = True
         self.chosen.append(int(x))
         self.value += g

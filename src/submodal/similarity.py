@@ -120,12 +120,6 @@ def cosine_kernel(a: EmbeddingMatrix, b: EmbeddingMatrix | None = None) -> Simil
     return SimilarityKernel(data=rescaled, symmetric=same)
 
 
-def cosine_block(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """``cosine_kernel(a, b).data`` for plain arrays of row vectors."""
-    eb = EmbeddingMatrix.from_array(b) if b is not None else None
-    return cosine_kernel(EmbeddingMatrix.from_array(a), eb).data
-
-
 def cosine_factors(a: np.ndarray) -> np.ndarray:
     """Rank-(D+1) factor F = [1, a_hat] / sqrt(2) of the rescaled cosine kernel.
 
@@ -341,14 +335,24 @@ class FactoredKernel:
             yield lo, hi, blk
 
     def dot(self, a: np.ndarray) -> np.ndarray:
-        """The factor product F @ a.  With parts (R, X) it is
-        (a_0 + rowsum((X A^T) * R)) / sqrt(2) with A = a[1:] as C x (d+1),
-        C + d + 1 values read per row instead of C(d+1) + 1."""
+        """The factor product F @ a, or for m vectors stacked as the rows of
+        ``a`` (m x rank) the m x n array whose row k is F @ a[k].
+
+        With parts (R, X) row k is (a_k0 + rowsum((X A_k^T) * R)) / sqrt(2)
+        with A_k = a[k, 1:] as C x (d+1): C + d + 1 values read per row of
+        F instead of C(d+1) + 1, and all m products share one GEMM
+        X [A_1; ...; A_m]^T.  A stored F gives one GEMV per vector, as it
+        does for one vector: a GEMM there is a different BLAS routine and
+        may round differently."""
         if self.parts is None:
-            return self._left @ a
+            return self._left @ a if a.ndim == 1 else np.stack([self._left @ v for v in a])
+        vecs = np.atleast_2d(a)
         r, x = self.parts
-        t = x @ a[1:].reshape(r.shape[1], x.shape[1]).T
-        out = np.einsum("ij,ij->i", t, r)
-        out += a[0]
+        c = r.shape[1]
+        t = x @ vecs[:, 1:].reshape(len(vecs) * c, x.shape[1]).T
+        out = np.empty((len(vecs), self._n))
+        for k, row in enumerate(out):
+            np.einsum("ij,ij->i", t[:, k * c : (k + 1) * c], r, out=row)
+        out += vecs[:, :1]
         out *= np.sqrt(0.5)
-        return out
+        return out if a.ndim > 1 else out[0]

@@ -23,8 +23,8 @@ from submodal.functions import (
     new_state,
 )
 from submodal.greedy import GreedyConfig, greedy_select
-from submodal.similarity import FactoredKernel, cosine_block, cosine_factors, khatri_rao_factors
-from tests.conftest import rescaled_cosine
+from submodal.similarity import FactoredKernel, cosine_factors, khatri_rao_factors
+from tests.conftest import cosine_block, rescaled_cosine
 
 K3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]])
 
@@ -951,7 +951,7 @@ class TestKhatriRaoPool:
             assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("kind", sorted(LOGDET_FAMILY))
-    def test_a_commit_reads_its_row_of_f_once_per_term(self, kind, rng, monkeypatch):
+    def test_a_commit_reads_its_row_of_f_once_per_commit(self, kind, rng, monkeypatch):
         uu, fq, fp = khatri_rao_sets(rng, 300, self.C, self.D1, n_q=10, n_p=80)  # P above the rank
         blocks = {"uu": uu}
         if kind in NEEDS_Q:
@@ -968,9 +968,26 @@ class TestKhatriRaoPool:
 
         monkeypatch.setattr(FactoredKernel, "rows", counted)
         picks = greedy_select(f, GreedyConfig(budget=12, variant="naive")).chosen
-        terms = len(functions._LOGDET_TERMS[kind])
         assert len(picks) == 12
-        assert reads == [x for x in picks for _ in range(terms)]
+        assert reads == list(picks)
+
+    @pytest.mark.parametrize("kind", ["logdetmi", "logdetcmi"])
+    def test_stacked_commits_lower_each_term_as_a_lone_term(self, kind, rng):
+        n, r = 600, 1 + self.C * self.D1
+        uu = khatri_rao_factors(*badge_pool(rng, n, self.C, self.D1))
+        blocks = {"uu": uu, "uq": uu.cross(cosine_factors(rng.standard_normal((20, r - 1))))}
+        if kind in NEEDS_P:
+            blocks["up"] = uu.cross(cosine_factors(rng.standard_normal((2 * r, r - 1))))
+        f = InfoFunction(kind=kind, **blocks)
+        picks = greedy_select(f, GreedyConfig(budget=40, variant="naive")).chosen
+        state = new_state(f)
+        for x in picks:
+            state.commit(x)
+        for (_, key), (_, term) in zip(functions._LOGDET_TERMS[kind], state._terms, strict=True):
+            lone = functions._LogDetTerm(uu, f.eps, f._w.get(key))
+            for x in picks:
+                lone.lower(uu.dot(lone.column(x, uu.rows(x))))
+            assert np.abs(term.dsq - lone.dsq).max() <= 1e-14 * np.abs(lone.dsq).max()
 
     @pytest.mark.parametrize("kind", ["gc", "gccg"])
     def test_a_graph_cut_commit_reads_one_kernel_row(self, kind, rng, monkeypatch):

@@ -17,8 +17,7 @@ from submodal.greedy import (
     plan,
     stochastic_sample_size,
 )
-from submodal.similarity import cosine_block
-from tests.conftest import rescaled_cosine
+from tests.conftest import cosine_block, rescaled_cosine
 
 
 def modular(weights):

@@ -9,7 +9,6 @@ from submodal.similarity import (
     EmbeddingMatrix,
     FactoredKernel,
     SimilarityKernel,
-    cosine_block,
     cosine_factors,
     cosine_kernel,
     khatri_rao_factors,
@@ -101,9 +100,10 @@ class TestCosineFactors:
         b = np.vstack([g.standard_normal((m, d)), a[:1]])
         fa, fb = cosine_factors(a), cosine_factors(b)
         assert fa.shape == (n, d + 1)
-        assert np.abs(fa @ fb.T - cosine_kernel(emb(a), emb(b)).data).max() <= 2e-15
+        cross = cosine_kernel(emb(a), emb(b)).data
+        assert np.abs(fa @ fb.T - cross).max() <= 2e-15
         assert np.abs(FactoredKernel(fa).take() - cosine_kernel(emb(a)).data).max() <= 2e-15
-        assert np.abs(FactoredKernel(fa, fb).take() - cosine_block(a, b)).max() <= 2e-15
+        assert np.abs(FactoredKernel(fa, fb).take() - cross).max() <= 2e-15
 
     def test_square_block_pins_unit_diagonal(self, rng):
         f = FactoredKernel(cosine_factors(rng.standard_normal((9, 4))))
@@ -149,13 +149,6 @@ class TestCosineFactors:
             tracemalloc.stop()
         assert peak <= out.nbytes + a.nbytes // 4
 
-    def test_cosine_block_is_the_kernel_data(self, rng):
-        a = rng.standard_normal((7, 3))
-        b = rng.standard_normal((4, 3))
-        assert np.array_equal(cosine_block(a), cosine_kernel(emb(a)).data)
-        assert np.array_equal(cosine_block(a, b), cosine_kernel(emb(a), emb(b)).data)
-        assert cosine_block(a, np.zeros((0, 3))).shape == (7, 0)
-
 
 def badge_parts(g, n, c, d1):
     """Gradient parts and embeddings of ``n`` random points under a random
@@ -197,6 +190,21 @@ class TestKhatriRaoFactors:
             want = k.left @ v
             assert np.abs(k.dot(v) - want).max() <= 1e-14
             assert np.array_equal(plain.dot(v), want)
+
+    @pytest.mark.parametrize("c, d1", SHAPES)
+    @pytest.mark.parametrize("n", [37, 777])  # no multiple of 64, 256 or 512 rows
+    def test_stacked_products_equal_one_product_per_vector(self, c, d1, n, rng):
+        (resid, xb), _ = badge_parts(rng, n, c, d1)
+        k = khatri_rao_factors(resid, xb)
+        plain = FactoredKernel(k.left)
+        for m in (1, 2, 3):
+            vecs = rng.standard_normal((m, k.rank))
+            got, got_plain = k.dot(vecs), plain.dot(vecs)
+            assert got.shape == got_plain.shape == (m, n)
+            for v, row, row_plain in zip(vecs, got, got_plain):
+                one = k.dot(v)
+                assert np.abs(row - one).max() <= 1e-14 * np.abs(one).max()
+                assert np.array_equal(row_plain, k.left @ v)
 
     def test_zero_residual_row_raises_as_cosine_factors_does(self, rng):
         (resid, xb), g = badge_parts(rng, 12, 3, 4)
