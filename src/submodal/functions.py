@@ -59,7 +59,10 @@ pool factor may be held as Khatri-Rao parts alone: then rows of F are
 read through ``FactoredKernel.rows`` and, over the whole pool (the pivot
 diagonal, graph-cut row sums, a dense cut of all rows), one
 ``factor_blocks`` block at a time, so no kind forms an n x rank array
-either.
+either.  When the pool has exact copies its parts hold each distinct row
+once, with a row index over the points (``FactoredKernel.index``): the
+log-det kinds keep their pivots and expand their Cholesky columns once per
+distinct row, and every other kind reads the points through the index.
 
 The log-det kinds have one path that runs, the factored one, and
 ``from_joint`` builds them on factors too, so the acceptance gate checks
@@ -71,9 +74,12 @@ a Cholesky factor), and this module imports numpy alone.
 A ``SelectionState`` memoizes gains in one of two forms, so that they are
 cheap and a commit sequence reproduces the from-scratch value within 1e-8
 absolute (1e-6 relative for log-det).  A log-det kind keeps one
-``_LogDetTerm`` per term: an incremental Cholesky factor and every
-point's residual pivot, over a dense or a factored uu.  Every other
-kind's gain is
+``_LogDetTerm`` per term: an incremental Cholesky factor and the residual
+pivot of every row of uu (of every distinct row on an indexed factor), over
+a dense or a factored uu; a point's gain reads its row's pivots, so copies
+of a row tie exactly and naive greedy takes the lowest index among them.
+A chosen point's copies stay selectable, at the pivot of a point
+conditioned on its own copy.  Every other kind's gain is
 lin[x] + w sum_i max(cov[x,i] - covered_i, 0) - lam (S_xx + 2 sum_A S_xa),
 from the parts it has: a modular vector (flqmi's max_Q S_x, the graph-cut
 row sums), a coverage block with running maxima (the block above, with
@@ -612,20 +618,24 @@ class _LogDetTerm:
     """Incremental log det(M_A) over M = (S_UU + eps I) - W^T W, with W
     ``_correction``'s whitened cross (None: no conditioning).
 
-    Keeps every ground point's squared residual pivot ``dsq``, so a gain
+    Keeps the squared residual pivot ``dsq`` of every row of uu, so a gain
     is an O(1) lookup, and the Cholesky columns ``cof`` of the committed
-    set.  A commit is split in two, so that the selection state reads
-    row j once for all its terms: ``column`` forms the new column from
-    row j of S_UU and subtracts the earlier columns, weighted by their
-    entries in row j, and ``lower`` takes the squares of the new column's
-    entries off the pivots.
+    set.  The selection state passes a factor with a row index as its
+    ``FactoredKernel.distinct`` rows: copies of a point have equal kernel
+    rows and so equal pivots, kept once.  A commit is split in two, so
+    that the selection state reads row j once for all its terms:
+    ``column`` forms the new column from row j of S_UU and subtracts the
+    earlier columns, weighted by their entries in row j, and ``lower``
+    takes the squares of the new column's entries off the pivots.
 
     On a dense S_UU a column is an n-vector, O(n |A|) per commit.  On
     factors S_UU = F F^T (unit diagonal) a column a is kept in the basis
     F, O(r (n + |A|)) at rank r, and the pivots fall by the squares of
     F a.  Column j starts as F_j - W^T (W F_j).  That drops eps e_j and
     the pinned unit diagonal; both touch only entry j, which the pivots
-    carry and which no later commit reads.  The pivots start at
+    carry.  No later commit reads it for point j; a copy of j reads it as
+    the pivot of a point conditioned on its equal row (F_j F_j^T, not the
+    pinned 1).  The pivots start at
     1 + eps - |W F_i|^2, read one ``factor_blocks`` block at a time, and a
     commit's row F_j comes from ``FactoredKernel.rows``: no n x rank array
     is formed.  The entries F a of every term's new column come from one
@@ -678,7 +688,7 @@ class _LogDetTerm:
 
     def lower(self, e: np.ndarray) -> None:
         """Lower each pivot i by e_i^2, with e the new column over the
-        ground set (F a on factors)."""
+        rows (F a on factors)."""
         self.dsq -= e * e
 
 
@@ -698,8 +708,14 @@ class SelectionState:
         self._lin = self._cov = self._cross = None
         kind = f.kind
         if kind in LOGDET_FAMILY:
+            # The terms keep one state row per row of _rows_uu: point x is
+            # row _row_of[x] (of the distinct rows on an indexed factor).
+            factored = isinstance(f.uu, FactoredKernel)
+            self._row_of = f.uu.index if factored else None
+            self._rows_uu = f.uu.distinct if factored else f.uu
             self._terms = [
-                (sign, _LogDetTerm(f.uu, f.eps, f._w.get(key))) for sign, key in _LOGDET_TERMS[kind]
+                (sign, _LogDetTerm(self._rows_uu, f.eps, f._w.get(key)))
+                for sign, key in _LOGDET_TERMS[kind]
             ]
         elif kind == "flqmi":  # sum_A max_Q is modular, sum_Q max_A covers uq
             self._lin, self._cov, self._weight = _row_max(f.uq), f.uq, 1.0
@@ -737,7 +753,8 @@ class SelectionState:
         if self._mask[x]:
             raise ValueError(f"index {x} already selected")
         if self._terms:
-            return float(sum(sign * term.gain(x) for sign, term in self._terms))
+            j = self._row(x)
+            return float(sum(sign * term.gain(j) for sign, term in self._terms))
         if self._cov is None:
             g = self._lin[x]
         else:
@@ -763,7 +780,8 @@ class SelectionState:
         same order, to the same operands, and an elementwise ufunc computes
         each element as it computes a lone scalar.  The log-det family reads
         its pivot arrays once (maximum with the floor, log, the sign
-        product, then the terms summed left to right from 0); the modular
+        product, then the terms summed left to right from 0), over all
+        rows, and each candidate takes its row's value; the modular
         and cross parts are indexed once.  A coverage block's rises are read
         row by row once something is chosen; at the empty selection each
         rise is the entry itself, so its sum is the row sum the block's
@@ -776,7 +794,8 @@ class SelectionState:
         if chosen.size:
             raise ValueError(f"index {chosen[0]} already selected")
         if self._terms:
-            return sum(sign * term.gain(candidates) for sign, term in self._terms)
+            per_row = sum(sign * term.gain(slice(None)) for sign, term in self._terms)
+            return per_row[self._row(candidates)]
         g = None if self._lin is None else self._lin[candidates]
         if self._cov is not None:
             covered = self._cov_sums[candidates]
@@ -784,6 +803,10 @@ class SelectionState:
         if self._cross is not None:
             g = g - self.f.gc_lambda * (self._diag[candidates] + 2.0 * self._cross[candidates])
         return g
+
+    def _row(self, x):
+        """The log-det state rows of points ``x``."""
+        return x if self._row_of is None else self._row_of[x]
 
     def commit(self, x: int) -> float:
         """Add x to the selection; returns the realized gain."""
@@ -798,11 +821,12 @@ class SelectionState:
             row[x] = self._diag[x]  # S_xx as gains read it: the pinned 1 on factors
             self._cross += row
         if self._terms:
-            # One row read and, on factors, one product for all terms.
-            uu = self.f.uu
+            # One row read and, on factors, one product for all terms, over
+            # the distinct rows alone.
+            uu, j = self._rows_uu, self._row(x)
             factored = isinstance(uu, FactoredKernel)
-            row = uu.rows(x) if factored else uu[x]
-            cols = [term.column(x, row) for _, term in self._terms]
+            row = uu.rows(j) if factored else uu[j]
+            cols = [term.column(j, row) for _, term in self._terms]
             for (_, term), e in zip(self._terms, uu.dot(np.stack(cols)) if factored else cols):
                 term.lower(e)
         self._mask[x] = True

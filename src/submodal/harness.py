@@ -317,6 +317,18 @@ def _embed(model, split, guard, indices) -> np.ndarray:
     return gradient_embeddings(model, feats, labels)
 
 
+def _chunk_rows(index: np.ndarray | None, ids: np.ndarray | None):
+    """The rows of the pool's parts that the points ``ids`` read (None: the
+    whole pool), and their own row index: a chunk keeps only its rows."""
+    if ids is None:
+        return slice(None), index
+    if index is None:
+        return ids, None
+    rows = index[ids]
+    first, chunk_index = sim.distinct_rows(rows)
+    return (rows, None) if first is None else (rows[first], chunk_index)
+
+
 def _submodular_select(
     config: RunConfig,
     split: sc.ScenarioSplit,
@@ -328,6 +340,11 @@ def _submodular_select(
     q_field, p_field = table1_fields(config.scenario, kind)
     pool = np.sort(split.unlabeled)
     x_pool = split.features[pool]
+    # Exact copies in the pool have equal gradients: the parts hold each
+    # distinct feature row once, and ``index`` maps the points to them.
+    first, index = sim.distinct_rows(x_pool)
+    if first is not None:
+        x_pool = x_pool[first]
     # The pool's gradients stay in their two parts: its factor is built
     # from them, never from the n x C(d+1) embedding.
     resid, xb = gradient_parts(model, x_pool, hypothesized_labels(model, x_pool))
@@ -346,8 +363,8 @@ def _submodular_select(
         # Every kind gets rank-(D+1) factors of the pool, query and
         # conditioning kernels, never a dense n x n or |P| x |P| block;
         # None is the whole pool.
-        ids = slice(None) if local_ids is None else local_ids
-        uu = sim.khatri_rao_factors(resid[ids], xb[ids])
+        rows, chunk_index = _chunk_rows(index, local_ids)
+        uu = sim.khatri_rao_factors(resid[rows], xb[rows], chunk_index)
         blocks = {name: uu.cross(fs) for name, fs in side_factors.items()}
         f = InfoFunction(kind=kind, uu=uu, **blocks, **asdict(config.function))
         metadata.update(f.metadata, ground_size=len(pool))

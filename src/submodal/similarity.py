@@ -20,6 +20,13 @@ Khatri-Rao form.  ``khatri_rao_factors`` keeps only the two parts, C + d
 other product builds the rows of F it needs (``rows``), a bounded block at
 a time over all rows (``factor_blocks``).  ``take`` multiplies such built
 rows, so it checks the parts arithmetic of ``dot`` and ``row_blocks``.
+
+A pool with exact copies (the redundancy split) keeps one row of parts per
+distinct point: ``distinct_rows`` finds them, and the kernel's row
+``index`` maps each point to its row.  Every product over the points reads
+through the index, so copies get bit-equal rows, blocks and products;
+``distinct`` is the same kernel over the distinct rows alone, for the
+per-row state and products that need each row once.
 """
 
 from __future__ import annotations
@@ -136,7 +143,7 @@ def cosine_factors(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def khatri_rao_factors(resid: np.ndarray, xb: np.ndarray) -> "FactoredKernel":
+def khatri_rao_factors(resid: np.ndarray, xb: np.ndarray, index=None) -> "FactoredKernel":
     """Square ``FactoredKernel`` of the rescaled cosine kernel over the rows
     g_i = resid_i outer xb_i, held as its two parts.
 
@@ -146,13 +153,49 @@ def khatri_rao_factors(resid: np.ndarray, xb: np.ndarray) -> "FactoredKernel":
     ``parts = (r_hat, x_hat)``, C + d + 1 values per row; its ``rows``
     build rows of F on demand, equal to ``cosine_factors(g)`` up to
     rounding.  A zero row in either part is a zero row of g and raises as
-    in ``cosine_factors``.
+    in ``cosine_factors``.  With an ``index`` the parts hold distinct
+    rows and point i is row ``index[i]`` of them (see ``distinct_rows``).
     """
     r = EmbeddingMatrix.from_array(resid)
     x = EmbeddingMatrix.from_array(xb)
     if r.rows != x.rows:
         raise ValueError(f"parts must align: {r.rows} vs {x.rows} rows")
-    return FactoredKernel(parts=(_normalized_rows(r), _normalized_rows(x)))
+    return FactoredKernel(parts=(_normalized_rows(r), _normalized_rows(x)), index=index)
+
+
+# Odd multiples of this odd constant weigh a row's 64-bit words in its hash.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def distinct_rows(a: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """``(first, index)``: the position of each distinct row of ``a`` at its
+    first occurrence, in order, and for every row the number of its
+    distinct row, so that ``a[first][index]`` is ``a``; ``(None, None)``
+    when every row is distinct.
+
+    Rows are equal when their bytes are (the entries of a 1-D array are
+    its rows).  Equal rows have equal hashes, so a pool whose row hashes
+    all differ has no copies: one product and one sort of n 64-bit words
+    (about 1 ms on 16500 x 32 float64) settle a pool without copies.
+    Otherwise one ``np.unique`` sorts the rows as opaque byte strings
+    (7-13 ms on such a pool); ``np.unique(axis=0)`` compares them field by
+    field and took about five times as long.
+    """
+    a = np.ascontiguousarray(a)
+    if a.ndim == 2 and (a.itemsize * a.shape[1]) % 8 == 0:
+        words = a.view(np.uint64)
+        odd = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64) * _HASH_MULTIPLIER
+        hashes = np.sort(words @ odd)  # wraps modulo 2**64
+        if not np.any(hashes[1:] == hashes[:-1]):
+            return None, None
+    keys = a if a.ndim == 1 else a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if first.size == len(a):
+        return None, None
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return first[order], number[inverse.ravel()]
 
 
 # Rows per block when a factored block is multiplied out: each row block
@@ -190,10 +233,19 @@ class FactoredKernel:
     A kernel with parts stores no F; ``rows`` and ``factor_blocks`` build
     the rows of F they are asked for.  ``right=None`` marks the square
     symmetric block of the row factor with itself; its diagonal is pinned
-    to exactly 1, as in ``cosine_kernel``.
+    to exactly 1, as in ``cosine_kernel``, on each point alone (two copies
+    of a row are two points).
+
+    Parts may also hold only the distinct rows of a pool with copies:
+    ``index`` (n integers) then gives each point's row of the parts, and
+    ``rows``, ``factor_blocks``, ``row_blocks``, ``take``, ``cross``,
+    ``shares_rows`` and ``dot`` read the n points through it, so every copy
+    of a row reads the same floats.  ``distinct`` is the kernel of the
+    rows themselves, for state kept once per row.  ``index`` is None when
+    each point has its own row, and always for a stored ``left``.
     """
 
-    def __init__(self, left=None, right=None, parts=None):
+    def __init__(self, left=None, right=None, parts=None, index=None):
         if parts is None:
             if left is None:
                 raise ValueError("a factored kernel needs a left factor or parts")
@@ -212,7 +264,16 @@ class FactoredKernel:
                     )
                 raise ValueError("a factored kernel takes a left factor or parts, not both")
             self._left, parts = None, (r_hat, x_hat)
-        self.parts = parts
+        if index is not None:
+            if parts is None:
+                raise ValueError("a row index needs parts: a stored factor has one row per point")
+            index = np.asarray(index)
+            bad = index.ndim != 1 or index.dtype.kind not in "iu"
+            if bad or np.any((index < 0) | (index >= n)):
+                raise ValueError(f"a row index must be 1-D integers in [0, {n})")
+            index = index.astype(np.intp, copy=False)
+            n = index.size
+        self.parts, self.index = parts, index
         self.right = None if right is None else _factor_array(right, "factor")
         if self.right is not None and self.right.shape[1] != self.rank:
             raise ValueError(f"factor rank mismatch: {self.rank} vs {self.right.shape[1]}")
@@ -227,6 +288,14 @@ class FactoredKernel:
         return self._n, self._n if self.right is None else self.right.shape[0]
 
     @property
+    def distinct(self) -> "FactoredKernel":
+        """This kernel over its distinct rows alone, row k for the points
+        whose ``index`` entry is k (itself when there is no index)."""
+        if self.index is None:
+            return self
+        return FactoredKernel(right=self.right, parts=self.parts)
+
+    @property
     def left(self) -> np.ndarray:
         """The whole row factor F, built explicitly for a kernel with parts."""
         return self.rows(slice(None))
@@ -234,11 +303,13 @@ class FactoredKernel:
     def rows(self, idx, out=None) -> np.ndarray:
         """Rows ``idx`` (an index, index array or slice) of the row factor
         F.  With parts they are built, into ``out`` if given, as
-        sqrt(1/2) [1, (r_hat sqrt(1/2)) outer x_hat]; a stored factor gives
-        its rows (a view for a slice or an index)."""
+        sqrt(1/2) [1, (r_hat sqrt(1/2)) outer x_hat], each from its point's
+        row of the parts; a stored factor gives its rows (a view for a
+        slice or an index)."""
         if self.parts is None:
             return self._left[idx]
         r, x = self.parts
+        idx = self._part_rows(idx)
         r, x = r[idx] * np.sqrt(0.5), x[idx]
         if out is None:
             out = np.empty(r.shape[:-1] + (self.rank,))
@@ -247,6 +318,10 @@ class FactoredKernel:
         outer = out[..., 1:].reshape(r.shape + x.shape[-1:])
         np.multiply(r[..., :, None], x[..., None, :], out=outer)
         return out
+
+    def _part_rows(self, idx):
+        """Rows of the parts that points ``idx`` read."""
+        return idx if self.index is None else self.index[idx]
 
     def factor_blocks(self, rows=None):
         """Yield ``(lo, hi, F[rows][lo:hi])`` in blocks of
@@ -262,13 +337,15 @@ class FactoredKernel:
 
     def cross(self, right: np.ndarray) -> "FactoredKernel":
         """The block of this kernel's rows against the column factor
-        ``right``, sharing the row factor or its parts."""
-        return FactoredKernel(self._left, right, parts=self.parts)
+        ``right``, sharing the row factor or its parts and index."""
+        return FactoredKernel(self._left, right, parts=self.parts, index=self.index)
 
     def shares_rows(self, other: "FactoredKernel") -> bool:
         """Whether ``other`` has this kernel's row factor: the same stored
-        factor or parts, else equal rows of F, compared block by block."""
-        mine, theirs = self.parts or (self._left,), other.parts or (other._left,)
+        factor or parts and index, else equal rows of F, compared block by
+        block."""
+        mine = (*(self.parts or (self._left,)), self.index)
+        theirs = (*(other.parts or (other._left,)), other.index)
         if len(mine) == len(theirs) and all(a is b for a, b in zip(mine, theirs)):
             return True
         if (self._n, self.rank) != (other._n, other.rank):
@@ -315,7 +392,8 @@ class FactoredKernel:
             r, x = self.parts
             # Halving is exact: (R/2) R^T * X X^T + 1/2 rounds as (1 + R R^T * X X^T) / 2.
             half_r = 0.5 * r
-            step, r_cols, x_cols = _PARTS_BLOCK_ROWS, r[pick].T, x[pick].T
+            cols_at = self._part_rows(pick)
+            step, r_cols, x_cols = _PARTS_BLOCK_ROWS, r[cols_at].T, x[cols_at].T
             aux = np.empty((min(n, step), idx.size))
         else:
             step, f_cols = _BLOCK_ROWS, self._col_rows(pick).T
@@ -324,8 +402,9 @@ class FactoredKernel:
             hi = min(n, lo + step)
             blk = stage[: hi - lo]
             if from_parts:
-                np.matmul(half_r[lo:hi], r_cols, out=blk)
-                blk *= np.matmul(x[lo:hi], x_cols, out=aux[: hi - lo])
+                at = self._part_rows(slice(lo, hi))
+                np.matmul(half_r[at], r_cols, out=blk)
+                blk *= np.matmul(x[at], x_cols, out=aux[: hi - lo])
                 blk += 0.5
             else:
                 np.matmul(self.rows(slice(lo, hi)), f_cols, out=blk)
@@ -343,16 +422,19 @@ class FactoredKernel:
         F instead of C(d+1) + 1, and all m products share one GEMM
         X [A_1; ...; A_m]^T.  A stored F gives one GEMV per vector, as it
         does for one vector: a GEMM there is a different BLAS routine and
-        may round differently."""
+        may round differently.  With an index each distinct row's product is
+        formed once and read by every point of that row."""
         if self.parts is None:
             return self._left @ a if a.ndim == 1 else np.stack([self._left @ v for v in a])
         vecs = np.atleast_2d(a)
         r, x = self.parts
         c = r.shape[1]
         t = x @ vecs[:, 1:].reshape(len(vecs) * c, x.shape[1]).T
-        out = np.empty((len(vecs), self._n))
+        out = np.empty((len(vecs), r.shape[0]))
         for k, row in enumerate(out):
             np.einsum("ij,ij->i", t[:, k * c : (k + 1) * c], r, out=row)
         out += vecs[:, :1]
         out *= np.sqrt(0.5)
+        if self.index is not None:
+            out = out[:, self.index]
         return out if a.ndim > 1 else out[0]

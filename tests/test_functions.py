@@ -23,7 +23,7 @@ from submodal.functions import (
     new_state,
 )
 from submodal.greedy import GreedyConfig, greedy_select
-from submodal.similarity import FactoredKernel, cosine_factors, khatri_rao_factors
+from submodal.similarity import FactoredKernel, cosine_factors, distinct_rows, khatri_rao_factors
 from tests.conftest import cosine_block, rescaled_cosine
 
 K3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]])
@@ -1004,6 +1004,67 @@ class TestKhatriRaoPool:
             got.commit(int(x))
             want.commit(int(x))
             assert np.abs(got._cross - want._cross).max() <= 2e-15 * want._cross.max()
+
+
+class TestPoolWithCopies:
+    """On a pool with exact copies the log-det state is kept once per
+    distinct row: copies tie bit for bit, naive greedy takes the lowest
+    index among them, and the picks are those of the distinct rows alone."""
+
+    # Factor rank 81, above the budget.  When the copies were separate rows
+    # of the parts, their logdetcg and logdetcmi gains differed in the last
+    # bits at this shape (1 or 2 BLAS threads) and a logdetcmi pick went to
+    # a later copy.
+    C, D1 = 10, 8
+
+    @staticmethod
+    def copies_index(g, m, n):
+        """Rows of ``n`` points over ``m`` distinct rows in random order,
+        numbered by first occurrence as ``distinct_rows`` numbers them."""
+        rows = np.concatenate([np.arange(m), g.integers(m, size=n - m)])[g.permutation(n)]
+        return distinct_rows(rows)[1]
+
+    @pytest.mark.parametrize("kind", sorted(LOGDET_FAMILY))
+    def test_copies_tie_exactly_and_picks_match_the_distinct_rows(self, kind, rng):
+        m, n, r = 450, 600, 1 + self.C * self.D1
+        resid, xb = badge_pool(rng, m, self.C, self.D1)
+        index = self.copies_index(rng, m, n)
+        # Copies on both sides of the 512-row ``factor_blocks`` boundary.
+        straddling = np.intersect1d(index[:512], index[512:])
+        assert np.unique(index).size == m and straddling.size >= 10
+        uu = khatri_rao_factors(resid, xb, index)
+        fq = cosine_factors(rng.standard_normal((20, r - 1)))
+        fp = cosine_factors(rng.standard_normal((2 * r, r - 1)))  # above the rank
+
+        def function(pool):
+            blocks = {"uu": pool}
+            if kind in NEEDS_Q:
+                blocks["uq"] = pool.cross(fq)
+            if kind in NEEDS_P:
+                blocks["up"] = pool.cross(fp)
+            return InfoFunction(kind=kind, **blocks)
+
+        f, cfg = function(uu), GreedyConfig(budget=25, variant="naive")
+        state = new_state(f)
+        for _ in range(cfg.budget):
+            cands = np.flatnonzero(~state._mask)
+            gains = state.gains(cands)
+            for row in np.unique(index[cands]):
+                tied = gains[index[cands] == row]
+                assert np.all(tied == tied[0])  # bit-equal across every copy
+            x = int(cands[np.argmax(gains)])
+            assert x == cands[index[cands] == index[x]][0]  # the lowest-index copy
+            assert state.gain(x) == gains[np.argmax(gains)]
+            state.commit(x)
+        picks = greedy_select(f, cfg).chosen
+        assert list(picks) == state.chosen
+        rows = [int(index[x]) for x in picks]
+        assert len(set(rows)) == cfg.budget
+        distinct = greedy_select(function(uu.distinct), cfg)
+        assert list(distinct.chosen) == rows
+        plain = greedy_select(function(FactoredKernel(uu.distinct.left)), cfg)
+        assert list(plain.chosen) == rows
+        assert np.abs(np.subtract(distinct.gains, plain.gains)).max() <= 1e-12
 
 
 class TestPartsOnlyPool:

@@ -437,6 +437,70 @@ class TestFactoredKernels:
         assert hashlib.sha256(repr(runs).encode()).hexdigest()[:16] == "4b1f254552b897f2"
 
 
+class TestPoolWithCopies:
+    """A pool with exact copies is embedded once per distinct feature row,
+    and a chunk of a partitioned round keeps only its own rows."""
+
+    TINY_REDUNDANCY = {"unique_count": 200, "labeled_count": 40, "dim": 12}
+
+    def test_a_chunk_keeps_the_rows_of_its_own_points(self, rng):
+        _, index = similarity.distinct_rows(rng.integers(0, 40, size=120))
+        ids = np.sort(rng.choice(120, size=60, replace=False))
+        assert harness._chunk_rows(index, None) == (slice(None), index)
+        assert harness._chunk_rows(None, ids) == (ids, None)
+        rows, own = harness._chunk_rows(index, ids)
+        assert np.array_equal(rows[own], index[ids])  # each point reads its pool row
+        first = np.sort(np.unique(index[ids], return_index=True)[1])
+        assert np.array_equal(rows, index[ids][first])  # each row once, in point order
+        assert rows.size < ids.size and rows.size < np.unique(index).size
+        lone = ids[np.unique(index[ids], return_index=True)[1]][:5]  # no copies among them
+        rows, own = harness._chunk_rows(index, np.sort(lone))
+        assert own is None and np.array_equal(rows, index[np.sort(lone)])
+
+    def test_a_partitioned_logdet_round_builds_each_chunk_on_its_rows(self, monkeypatch):
+        built = []
+        khatri_rao = similarity.khatri_rao_factors
+
+        def recorded(resid, xb, index=None):
+            built.append(khatri_rao(resid, xb, index))
+            return built[-1]
+
+        monkeypatch.setattr(similarity, "khatri_rao_factors", recorded)
+        cfg = tiny_config(scenario="redundancy", scenario_params=self.TINY_REDUNDANCY,
+                          method="logdetcg", optimizer={"partitions": 2})
+        split, _, _ = build_scenario(cfg)
+        res = run_al(cfg)
+        assert [len(set(r.selected)) for r in res.records] == [cfg.budget] * cfg.rounds
+        assert res.summary["function_metadata"]["ground_size"] == len(split.unlabeled) - cfg.budget
+        assert len(built) == 2 * cfg.rounds
+        pool = len(split.unlabeled)
+        for rnd in range(cfg.rounds):
+            chunks = built[2 * rnd : 2 * rnd + 2]
+            assert sum(k.shape[0] for k in chunks) == pool - rnd * cfg.budget
+            for k in chunks:
+                assert k.index is not None and np.unique(k.index).size == k.parts[0].shape[0]
+                assert similarity.distinct_rows(np.hstack(k.parts)) == (None, None)
+
+    def test_gradients_are_computed_once_per_distinct_row(self, monkeypatch):
+        rows = []
+        parts = harness.gradient_parts
+
+        def counted(model, features, labels):
+            rows.append(len(features))
+            return parts(model, features, labels)
+
+        monkeypatch.setattr(harness, "gradient_parts", counted)
+        cfg = tiny_config(scenario="redundancy", scenario_params=self.TINY_REDUNDANCY,
+                          method="logdetcg")
+        split, _, _ = build_scenario(cfg)
+        res = run_al(cfg)
+        unlabeled = set(split.unlabeled.tolist())
+        for n_rows, rec in zip(rows, res.records, strict=True):
+            feats = split.features[sorted(unlabeled)]
+            assert n_rows == len(np.unique(feats, axis=0)) < len(unlabeled)
+            unlabeled -= set(rec.selected)
+
+
 class TestPenaltyMatrix:
     def test_hand_computed_fixture(self):
         a = np.array([[0.50, 0.60, 0.70], [0.52, 0.61, 0.69], [0.48, 0.59, 0.71]])

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from submodal import similarity
 from submodal.similarity import (
     EmbeddingMatrix,
     FactoredKernel,
     SimilarityKernel,
     cosine_factors,
     cosine_kernel,
+    distinct_rows,
     khatri_rao_factors,
 )
 from submodal.surrogate import (
@@ -338,3 +340,116 @@ class TestPartsOnlyFactor:
             FactoredKernel(k.left, parts=k.parts)
         with pytest.raises(ValueError, match="needs a left factor or parts"):
             FactoredKernel()
+
+
+class TestRepeatedRows:
+    """A pool with exact copies keeps one row of parts per distinct point
+    and a row index over the points; every product reads through it."""
+
+    M, N = 300, 700  # distinct rows, points: 512- and 64-row blocks straddle copies
+
+    def pool(self, g):
+        """Features of a pool with copies and the distinct rows' parts."""
+        x = 2.0 * g.standard_normal((self.M, 8))
+        points = np.concatenate([np.arange(self.M), g.integers(self.M, size=self.N - self.M)])
+        points = points[g.permutation(self.N)]
+        return x[points], points
+
+    def kernels(self, g):
+        """The indexed kernel, the same kernel with its rows repeated and no
+        index, and the pool's distinct-row positions."""
+        x_pool, _ = self.pool(g)
+        first, index = distinct_rows(x_pool)
+        model = SurrogateModel(g.standard_normal((4, 9)), 4, TrainConfig())
+        x = x_pool[first]
+        resid, xb = gradient_parts(model, x, hypothesized_labels(model, x))
+        k = khatri_rao_factors(resid, xb, index)
+        return k, FactoredKernel(parts=tuple(p[index] for p in k.parts)), first, index
+
+    def test_the_index_maps_each_point_to_its_first_occurrence(self, rng):
+        x_pool, points = self.pool(rng)
+        first, index = distinct_rows(x_pool)
+        assert np.all(np.diff(first) > 0)  # in pool order
+        assert np.array_equal(x_pool[first][index], x_pool)
+        assert np.array_equal(points[first][index], points)
+        assert first.size == np.unique(points).size == self.M
+        assert distinct_rows(x_pool[first]) == (None, None)
+        assert distinct_rows(index[first]) == (None, None)
+        ids = np.array([4, 9, 4, 4, 2, 9])
+        got_first, got_index = distinct_rows(ids)
+        assert got_first.tolist() == [0, 1, 4] and got_index.tolist() == [0, 1, 0, 0, 2, 1]
+
+    def test_rows_whose_hashes_collide_are_still_told_apart(self):
+        # Words (w1, w2) and (w1 + m2, w2 - m1) hash alike: w1 m1 + w2 m2
+        # modulo 2**64, with m1, m2 the first two multipliers.
+        odd = np.array([1, 3], dtype=np.uint64) * similarity._HASH_MULTIPLIER
+        base = np.array([5, 7], dtype=np.uint64)
+        shift = np.array([[odd[1], 0], [0, odd[0]]], dtype=np.uint64)
+        words = np.stack([base, base + shift[0] - shift[1], base])
+        assert (words @ odd)[0] == (words @ odd)[1]
+        assert not np.array_equal(words[0], words[1])
+        for dtype in (np.float64, np.float32, np.uint8):  # the same bytes per row
+            first, index = distinct_rows(words.view(dtype))
+            assert first.tolist() == [0, 1] and index.tolist() == [0, 1, 0]
+        assert distinct_rows(words[:2].view(np.float64)) == (None, None)
+        # Rows of 3 bytes are not hashed in 64-bit words.
+        first, index = distinct_rows(np.array([[1, 2, 3], [4, 5, 6], [1, 2, 3]], dtype=np.uint8))
+        assert first.tolist() == [0, 1] and index.tolist() == [0, 1, 0]
+
+    def test_products_equal_the_kernel_without_the_index(self, rng):
+        k, plain, _, index = self.kernels(rng)
+        assert k.shape == plain.shape == (self.N, self.N) and k.index is index
+        assert k.parts[0].shape[0] == self.M
+        for idx in (0, 699, np.array([5, 1, 650, 5]), slice(None), slice(500, 530)):
+            assert np.array_equal(k.rows(idx), plain.rows(idx))
+        cols = np.sort(rng.choice(self.N, size=200, replace=False))
+        for rows_ in (None, np.array([0, 513, 511, 699])):
+            got = [(lo, hi, b.copy()) for lo, hi, b in k.factor_blocks(rows_)]
+            want = [(lo, hi, b.copy()) for lo, hi, b in plain.factor_blocks(rows_)]
+            for (lo, hi, g_blk), (w_lo, w_hi, w_blk) in zip(got, want, strict=True):
+                assert (lo, hi) == (w_lo, w_hi) and np.array_equal(g_blk, w_blk)
+            for c in (None, cols):
+                assert np.array_equal(k.take(rows_, c), plain.take(rows_, c))
+        for c in (None, cols):
+            for (_, _, got), (_, _, want) in zip(k.row_blocks(c), plain.row_blocks(c), strict=True):
+                assert np.array_equal(got, want)
+        q = cosine_factors(rng.standard_normal((7, k.rank - 1)))
+        assert np.array_equal(k.cross(q).take(), plain.cross(q).take())
+        vecs = rng.standard_normal((2, k.rank))
+        got = k.dot(vecs)
+        # Over the distinct rows, then read by each point: another GEMM shape.
+        assert np.array_equal(got, k.distinct.dot(vecs)[:, index])
+        assert np.array_equal(k.dot(vecs[0]), got[0])
+        assert np.abs(got - plain.dot(vecs)).max() <= 1e-14
+
+    def test_copies_are_separate_points_with_bit_equal_rows(self, rng):
+        k, _, _, index = self.kernels(rng)
+        a, b = np.flatnonzero(index == index[-1])[:2]  # two copies of one row
+        s = k.take(np.array([a, b]))
+        assert s[0, a] == s[1, b] == 1.0  # each point's own diagonal is pinned
+        assert s[0, b] == s[1, a]  # F_a F_b^T, not pinned
+        assert np.array_equal(np.delete(s[0], [a, b]), np.delete(s[1], [a, b]))
+        assert np.array_equal(k.rows(a), k.rows(b))
+        d = k.distinct
+        assert d.index is None and d.shape == (self.M, self.M)
+        assert all(p is q for p, q in zip(d.parts, k.parts))
+        assert np.array_equal(d.left[index], k.left)
+
+    def test_cross_shares_the_index_and_rows_compare_through_it(self, rng):
+        k, plain, _, index = self.kernels(rng)
+        q = cosine_factors(rng.standard_normal((6, k.rank - 1)))
+        cross = k.cross(q)
+        assert cross.index is index and cross.shares_rows(k)
+        assert k.shares_rows(plain) and k.shares_rows(FactoredKernel(k.left))
+        shifted = FactoredKernel(parts=k.parts, index=np.roll(index, 1))
+        assert not k.shares_rows(shifted)
+
+    def test_an_all_distinct_pool_and_a_stored_factor_have_no_index(self, rng):
+        (resid, xb), g = badge_parts(rng, 50, 3, 4)
+        assert distinct_rows(g) == (None, None)
+        assert khatri_rao_factors(resid, xb).index is None
+        assert FactoredKernel(cosine_factors(g)).index is None
+        with pytest.raises(ValueError, match="needs parts"):
+            FactoredKernel(cosine_factors(g), index=np.zeros(50, dtype=np.intp))
+        with pytest.raises(ValueError, match="1-D integers"):
+            khatri_rao_factors(resid, xb, np.full(60, 50))
