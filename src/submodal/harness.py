@@ -317,16 +317,14 @@ def _embed(model, split, guard, indices) -> np.ndarray:
     return gradient_embeddings(model, feats, labels)
 
 
-def _chunk_rows(index: np.ndarray | None, ids: np.ndarray | None):
-    """The rows of the pool's parts that the points ``ids`` read (None: the
-    whole pool), and their own row index: a chunk keeps only its rows."""
-    if ids is None:
-        return slice(None), index
-    if index is None:
-        return ids, None
-    rows = index[ids]
-    first, chunk_index = sim.distinct_rows(rows)
-    return (rows, None) if first is None else (rows[first], chunk_index)
+def _pool_kernel(model: SurrogateModel, features: np.ndarray) -> sim.FactoredKernel:
+    """The pool's Khatri-Rao kernel, from the gradient parts of its distinct
+    feature rows (exact copies have equal gradients); only the kernel
+    outlives the call, and the n x C(d+1) embedding is never formed."""
+    first, index = sim.distinct_rows(features)
+    features = features if first is None else features[first]
+    resid, xb = gradient_parts(model, features, hypothesized_labels(model, features))
+    return sim.khatri_rao_factors(resid, xb, index)
 
 
 def _submodular_select(
@@ -339,15 +337,7 @@ def _submodular_select(
     kind = config.method
     q_field, p_field = table1_fields(config.scenario, kind)
     pool = np.sort(split.unlabeled)
-    x_pool = split.features[pool]
-    # Exact copies in the pool have equal gradients: the parts hold each
-    # distinct feature row once, and ``index`` maps the points to them.
-    first, index = sim.distinct_rows(x_pool)
-    if first is not None:
-        x_pool = x_pool[first]
-    # The pool's gradients stay in their two parts: its factor is built
-    # from them, never from the n x C(d+1) embedding.
-    resid, xb = gradient_parts(model, x_pool, hypothesized_labels(model, x_pool))
+    pool_uu = _pool_kernel(model, split.features[pool])
     # Rank-(D+1) factors of the query and conditioning sets; an empty
     # set (labeled_ood before any OOD pick) gives zero rows.
     side_factors = {
@@ -362,9 +352,8 @@ def _submodular_select(
     def make_function(local_ids: np.ndarray | None) -> InfoFunction:
         # Every kind gets rank-(D+1) factors of the pool, query and
         # conditioning kernels, never a dense n x n or |P| x |P| block;
-        # None is the whole pool.
-        rows, chunk_index = _chunk_rows(index, local_ids)
-        uu = sim.khatri_rao_factors(resid[rows], xb[rows], chunk_index)
+        # None is the whole pool, and a chunk is cut from it.
+        uu = pool_uu if local_ids is None else pool_uu.points(local_ids)
         blocks = {name: uu.cross(fs) for name, fs in side_factors.items()}
         f = InfoFunction(kind=kind, uu=uu, **blocks, **asdict(config.function))
         metadata.update(f.metadata, ground_size=len(pool))

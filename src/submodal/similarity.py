@@ -26,7 +26,8 @@ distinct point: ``distinct_rows`` finds them, and the kernel's row
 ``index`` maps each point to its row.  Every product over the points reads
 through the index, so copies get bit-equal rows, blocks and products;
 ``distinct`` is the same kernel over the distinct rows alone, for the
-per-row state and products that need each row once.
+per-row state and products that need each row once; ``points`` cuts a
+partition chunk's kernel from the pool's, on the rows its points read.
 """
 
 from __future__ import annotations
@@ -241,8 +242,9 @@ class FactoredKernel:
     ``rows``, ``factor_blocks``, ``row_blocks``, ``take``, ``cross``,
     ``shares_rows`` and ``dot`` read the n points through it, so every copy
     of a row reads the same floats.  ``distinct`` is the kernel of the
-    rows themselves, for state kept once per row.  ``index`` is None when
-    each point has its own row, and always for a stored ``left``.
+    rows themselves, for state kept once per row, and ``points`` the
+    kernel of some points alone, on the rows they read.  ``index`` is None
+    when each point has its own row, and always for a stored ``left``.
     """
 
     def __init__(self, left=None, right=None, parts=None, index=None):
@@ -294,6 +296,14 @@ class FactoredKernel:
         if self.index is None:
             return self
         return FactoredKernel(right=self.right, parts=self.parts)
+
+    def points(self, ids) -> "FactoredKernel":
+        """The square kernel of points ``ids`` alone, on the rows of parts they
+        read: each once, in point order, with an ``index`` if they hold copies."""
+        rows = self._part_rows(np.asarray(ids, dtype=np.intp))
+        first, index = distinct_rows(rows)
+        rows = rows if first is None else rows[first]
+        return FactoredKernel(parts=tuple(p[rows] for p in self.parts), index=index)
 
     @property
     def left(self) -> np.ndarray:

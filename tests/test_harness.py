@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -439,47 +441,87 @@ class TestFactoredKernels:
 
 class TestPoolWithCopies:
     """A pool with exact copies is embedded once per distinct feature row,
-    and a chunk of a partitioned round keeps only its own rows."""
+    and a chunk of a partitioned round is cut from the round's kernel on
+    its own rows."""
 
     TINY_REDUNDANCY = {"unique_count": 200, "labeled_count": 40, "dim": 12}
 
-    def test_a_chunk_keeps_the_rows_of_its_own_points(self, rng):
-        _, index = similarity.distinct_rows(rng.integers(0, 40, size=120))
-        ids = np.sort(rng.choice(120, size=60, replace=False))
-        assert harness._chunk_rows(index, None) == (slice(None), index)
-        assert harness._chunk_rows(None, ids) == (ids, None)
-        rows, own = harness._chunk_rows(index, ids)
-        assert np.array_equal(rows[own], index[ids])  # each point reads its pool row
-        first = np.sort(np.unique(index[ids], return_index=True)[1])
-        assert np.array_equal(rows, index[ids][first])  # each row once, in point order
-        assert rows.size < ids.size and rows.size < np.unique(index).size
-        lone = ids[np.unique(index[ids], return_index=True)[1]][:5]  # no copies among them
-        rows, own = harness._chunk_rows(index, np.sort(lone))
-        assert own is None and np.array_equal(rows, index[np.sort(lone)])
-
     def test_a_partitioned_logdet_round_builds_each_chunk_on_its_rows(self, monkeypatch):
-        built = []
-        khatri_rao = similarity.khatri_rao_factors
+        pools, chunks = [], []
+        khatri_rao, info = similarity.khatri_rao_factors, harness.InfoFunction
 
-        def recorded(resid, xb, index=None):
-            built.append(khatri_rao(resid, xb, index))
-            return built[-1]
+        def built(resid, xb, index=None):
+            pools.append(khatri_rao(resid, xb, index))
+            return pools[-1]
 
-        monkeypatch.setattr(similarity, "khatri_rao_factors", recorded)
+        def received(*args, uu, **kwargs):
+            chunks.append(uu)
+            return info(*args, uu=uu, **kwargs)
+
+        monkeypatch.setattr(similarity, "khatri_rao_factors", built)
+        monkeypatch.setattr(harness, "InfoFunction", received)
         cfg = tiny_config(scenario="redundancy", scenario_params=self.TINY_REDUNDANCY,
                           method="logdetcg", optimizer={"partitions": 2})
         split, _, _ = build_scenario(cfg)
         res = run_al(cfg)
         assert [len(set(r.selected)) for r in res.records] == [cfg.budget] * cfg.rounds
         assert res.summary["function_metadata"]["ground_size"] == len(split.unlabeled) - cfg.budget
-        assert len(built) == 2 * cfg.rounds
+        assert len(pools) == cfg.rounds  # one pool kernel a round, chunks cut from it
+        assert len(chunks) == 2 * cfg.rounds
         pool = len(split.unlabeled)
         for rnd in range(cfg.rounds):
-            chunks = built[2 * rnd : 2 * rnd + 2]
-            assert sum(k.shape[0] for k in chunks) == pool - rnd * cfg.budget
-            for k in chunks:
+            assert pools[rnd].shape[0] == pool - rnd * cfg.budget
+            round_chunks = chunks[2 * rnd : 2 * rnd + 2]
+            assert sum(k.shape[0] for k in round_chunks) == pool - rnd * cfg.budget
+            for k in round_chunks:
                 assert k.index is not None and np.unique(k.index).size == k.parts[0].shape[0]
                 assert similarity.distinct_rows(np.hstack(k.parts)) == (None, None)
+
+    def test_only_the_pool_kernel_outlives_the_pool_arrays(self, monkeypatch):
+        # The features and gradient parts the kernel is built from are
+        # gone when selection starts, partitioned or not.
+        seen, alive = [], []
+        parts = harness.gradient_parts
+
+        def recorded(model, features, labels):
+            resid, xb = parts(model, features, labels)
+            seen[:] = [weakref.ref(a) for a in (features, resid, xb)]
+            return resid, xb
+
+        def checked(name, select):
+            def run(*args, **kwargs):
+                gc.collect()
+                alive.append((name, sum(ref() is not None for ref in seen)))
+                return select(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(harness, "gradient_parts", recorded)
+        for name in ("greedy_select", "partitioned_select"):
+            monkeypatch.setattr(harness, name, checked(name, getattr(harness, name)))
+        runs = [tiny_config(method="logdetcg", optimizer={"partitions": p}) for p in (1, 2)]
+        runs += [tiny_config(scenario="redundancy", scenario_params=self.TINY_REDUNDANCY,
+                             method="logdetcg", optimizer={"partitions": p}) for p in (1, 2)]
+        for cfg in runs:
+            run_al(cfg)
+        rounds = [("greedy_select", 0)] * 2 + [("partitioned_select", 0)] * 2
+        assert alive == rounds * 2
+
+    def test_partitioned_runs_over_a_pool_with_copies_are_pinned_by_digest(self):
+        def records(cfg):
+            out = []
+            for r in run_al(cfg).records:
+                d = r.to_dict()
+                del d["elapsed"]
+                d["objective"] = f"{d['objective']:.12g}"
+                out.append(sorted(d.items()))
+            return out
+
+        runs = [
+            records(tiny_config(scenario="redundancy", scenario_params=self.TINY_REDUNDANCY,
+                                method=kind, optimizer={"partitions": parts}))
+            for kind in ("logdetcg", "flcg", "gccg") for parts in (2, 3)
+        ]
+        assert hashlib.sha256(repr(runs).encode()).hexdigest()[:16] == "f7b46c5b21bfe2b5"
 
     def test_gradients_are_computed_once_per_distinct_row(self, monkeypatch):
         rows = []

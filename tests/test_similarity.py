@@ -342,6 +342,30 @@ class TestPartsOnlyFactor:
             FactoredKernel()
 
 
+def assert_same_kernel(got, want, g):
+    """``got`` and ``want`` hold the same parts and row index and give
+    bit-equal rows, dense blocks, row blocks and products."""
+    n = want.shape[0]
+    assert got.shape == want.shape
+    assert (got.index is None) == (want.index is None)
+    if want.index is not None:
+        assert np.array_equal(got.index, want.index)
+    for a, b in zip(got.parts, want.parts, strict=True):
+        assert np.array_equal(a, b)
+    rows = np.array([0, n - 1, 511, 512, 63, 64, 511]) % n
+    cols = np.sort(g.choice(n, size=n // 3, replace=False))
+    assert np.array_equal(got.rows(slice(None)), want.rows(slice(None)))
+    assert np.array_equal(got.rows(rows), want.rows(rows))
+    for r, c in ((None, None), (rows, cols)):
+        assert np.array_equal(got.take(r, c), want.take(r, c))
+    for c in (None, cols):
+        for (lo, hi, a), (w_lo, w_hi, b) in zip(got.row_blocks(c), want.row_blocks(c), strict=True):
+            assert (lo, hi) == (w_lo, w_hi) and np.array_equal(a, b)
+    vecs = g.standard_normal((2, want.rank))
+    assert np.array_equal(got.dot(vecs), want.dot(vecs))
+    assert np.array_equal(got.dot(vecs[0]), want.dot(vecs[0]))
+
+
 class TestRepeatedRows:
     """A pool with exact copies keeps one row of parts per distinct point
     and a row index over the points; every product reads through it."""
@@ -355,14 +379,19 @@ class TestRepeatedRows:
         points = points[g.permutation(self.N)]
         return x[points], points
 
-    def kernels(self, g):
-        """The indexed kernel, the same kernel with its rows repeated and no
-        index, and the pool's distinct-row positions."""
+    def gradients(self, g):
+        """The gradient parts of the pool's distinct rows, their positions
+        in the pool and the pool's row index."""
         x_pool, _ = self.pool(g)
         first, index = distinct_rows(x_pool)
         model = SurrogateModel(g.standard_normal((4, 9)), 4, TrainConfig())
         x = x_pool[first]
-        resid, xb = gradient_parts(model, x, hypothesized_labels(model, x))
+        return gradient_parts(model, x, hypothesized_labels(model, x)), first, index
+
+    def kernels(self, g):
+        """The indexed kernel, the same kernel with its rows repeated and no
+        index, and the pool's distinct-row positions."""
+        (resid, xb), first, index = self.gradients(g)
         k = khatri_rao_factors(resid, xb, index)
         return k, FactoredKernel(parts=tuple(p[index] for p in k.parts)), first, index
 
@@ -443,6 +472,34 @@ class TestRepeatedRows:
         assert k.shares_rows(plain) and k.shares_rows(FactoredKernel(k.left))
         shifted = FactoredKernel(parts=k.parts, index=np.roll(index, 1))
         assert not k.shares_rows(shifted)
+
+    def test_points_cut_the_kernel_that_their_own_rows_would_build(self, rng):
+        (resid, xb), _, index = self.gradients(rng)
+        k = khatri_rao_factors(resid, xb, index)
+        ids = np.sort(rng.choice(self.N, size=600, replace=False))  # copies across blocks
+        cut = k.points(ids)
+        # Each row its points read, once, in point order, and each point on its row.
+        order = np.sort(np.unique(index[ids], return_index=True)[1])
+        rows = index[ids][order]
+        assert cut.index is not None and rows.size < ids.size
+        for got, whole in zip(cut.parts, k.parts, strict=True):
+            assert np.array_equal(got, whole[rows])
+            assert np.array_equal(got[cut.index], whole[index[ids]])
+        first, chunk_index = distinct_rows(index[ids])
+        assert np.array_equal(index[ids][first], rows)
+        assert_same_kernel(cut, khatri_rao_factors(resid[rows], xb[rows], chunk_index), rng)
+        lone = np.sort(ids[np.unique(index[ids], return_index=True)[1]][:80])  # no copies
+        cut = k.points(lone)
+        assert cut.index is None
+        assert_same_kernel(cut, khatri_rao_factors(resid[index[lone]], xb[index[lone]]), rng)
+
+    def test_points_of_a_pool_without_copies_keep_their_own_rows(self, rng):
+        (resid, xb), _ = badge_parts(rng, self.N, 4, 9)
+        k = khatri_rao_factors(resid, xb)
+        ids = np.sort(rng.choice(self.N, size=600, replace=False))
+        cut = k.points(ids)
+        assert cut.index is None
+        assert_same_kernel(cut, khatri_rao_factors(resid[ids], xb[ids]), rng)
 
     def test_an_all_distinct_pool_and_a_stored_factor_have_no_index(self, rng):
         (resid, xb), g = badge_parts(rng, 50, 3, 4)
