@@ -99,7 +99,10 @@ def plan(kind: str, n: int, budget: int, variant: str = "auto", partitions: int 
     ``partitions`` 0 splits only the FL kinds, into chunks of at most
     ``_CHUNK_TARGET`` points; any count is clamped to [1, min(budget, n)].
     ``auto`` runs the log-det kinds naive, the others ``default_variant``
-    of the chunk size."""
+    of the chunk size.  ``stochastic`` runs on any kind as the caller's
+    choice, though its (1 - 1/e - epsilon) guarantee holds only on
+    ``SUBMODULAR``; ``auto`` never picks it for a log-det kind, and the
+    result's ``variant`` says that it ran."""
     if partitions == 0:
         partitions = math.ceil(n / _CHUNK_TARGET) if kind in FL_FAMILY else 1
     partitions = max(1, min(partitions, budget, n))

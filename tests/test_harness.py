@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import submodal
-from submodal import functions, harness, similarity
+from submodal import functions, harness, scenarios, similarity, surrogate
 from submodal.cli import cli_main
 from submodal.functions import ALL_KINDS, NumericalError
 from submodal.harness import (
@@ -391,23 +391,51 @@ class TestFactoredKernels:
         res = self.run_without_pool_kernel(tiny_config(method=method), monkeypatch)
         assert res.summary["function_metadata"]["kind"] == method
 
-    def test_only_the_query_and_conditioning_sets_are_embedded(self, monkeypatch):
-        # The pool's factor comes from the gradient parts: the flattened
-        # embedding is formed only for Q and P, |Q| + |P| rows a round.
-        rows = []
-        embed = harness.gradient_embeddings
+    @pytest.mark.parametrize("scenario, method", [
+        ("rare", "logdetcmi"), ("ood", "flcmi"), ("ood", "logdetcmi"),
+    ])
+    def test_query_and_conditioning_factors_come_from_gradient_parts(
+        self, scenario, method, monkeypatch
+    ):
+        # No run forms a flattened embedding: Q's and P's factors are built
+        # from their true-label gradient parts, as the pool's are, and match
+        # the dense-embedding reference, cosine_factors(gradient_embeddings).
+        def refuse(*args):
+            raise AssertionError("gradient_embeddings called")
 
-        def counted(model, features, labels):
-            rows.append(len(features))
-            return embed(model, features, labels)
+        models, blocks = [], []
+        train, info = harness.train, harness.InfoFunction
 
-        monkeypatch.setattr(harness, "gradient_embeddings", counted)
-        cfg = tiny_config(method="logdetcmi")
+        def trained(*args, **kwargs):
+            models.append(train(*args, **kwargs))
+            return models[-1]
+
+        def received(*args, uq=None, up=None, **kwargs):
+            blocks.append({"uq": uq, "up": up})
+            return info(*args, uq=uq, up=up, **kwargs)
+
+        monkeypatch.setattr(harness, "gradient_embeddings", refuse)
+        monkeypatch.setattr(harness, "train", trained)
+        monkeypatch.setattr(harness, "InfoFunction", received)
+        params = TINY_RARE["scenario_params"] if scenario == "rare" else {}
+        cfg = tiny_config(scenario=scenario, scenario_params=params, method=method)
         split, _, _ = build_scenario(cfg)
-        q, p = len(split.rare_query), len(split.labeled)
-        run_al(cfg)
-        assert rows == [q, p, q, p + cfg.budget]
-        assert q + p + cfg.budget < len(split.unlabeled) - cfg.budget
+        res = run_al(cfg)
+        assert len(models) == len(blocks) == cfg.rounds
+        fields = dict(zip(("uq", "up"), table1_fields(scenario, method)))
+        for rnd, (model, got, rec) in enumerate(zip(models, blocks, res.records, strict=True)):
+            rank = 1 + model.num_classes * (split.dim + 1)
+            for block, name in fields.items():
+                ids = getattr(split, name)
+                labels = harness._collapse(split.labels[ids], split)
+                want = similarity.cosine_factors(
+                    surrogate.gradient_embeddings(model, split.features[ids], labels)
+                )
+                assert got[block].right.shape == want.shape == (len(ids), rank)
+                assert np.max(np.abs(got[block].right - want), initial=0.0) <= 1e-15
+            if scenario == "ood" and rnd == 0:
+                assert got["up"].right.shape == (0, rank)  # no OOD point labeled yet
+            split = scenarios.update_ood_sets(split, rec.selected)
 
     def test_summary_reports_the_functions_metadata(self):
         res = run_al(tiny_config(method="flqmi"))
@@ -447,12 +475,12 @@ class TestPoolWithCopies:
     TINY_REDUNDANCY = {"unique_count": 200, "labeled_count": 40, "dim": 12}
 
     def test_a_partitioned_logdet_round_builds_each_chunk_on_its_rows(self, monkeypatch):
-        pools, chunks = [], []
+        kernels, chunks = [], []
         khatri_rao, info = similarity.khatri_rao_factors, harness.InfoFunction
 
         def built(resid, xb, index=None):
-            pools.append(khatri_rao(resid, xb, index))
-            return pools[-1]
+            kernels.append(khatri_rao(resid, xb, index))
+            return kernels[-1]
 
         def received(*args, uu, **kwargs):
             chunks.append(uu)
@@ -466,10 +494,16 @@ class TestPoolWithCopies:
         res = run_al(cfg)
         assert [len(set(r.selected)) for r in res.records] == [cfg.budget] * cfg.rounds
         assert res.summary["function_metadata"]["ground_size"] == len(split.unlabeled) - cfg.budget
+        # The pool's kernel is the one with a row index over its copies; the
+        # other build of each round is P's factor, from the labeled set.
+        pools = [k for k in kernels if k.index is not None]
         assert len(pools) == cfg.rounds  # one pool kernel a round, chunks cut from it
+        assert len(kernels) == 2 * cfg.rounds
         assert len(chunks) == 2 * cfg.rounds
         pool = len(split.unlabeled)
         for rnd in range(cfg.rounds):
+            assert kernels[2 * rnd] is pools[rnd]
+            assert kernels[2 * rnd + 1].shape[0] == len(split.labeled) + rnd * cfg.budget
             assert pools[rnd].shape[0] == pool - rnd * cfg.budget
             round_chunks = chunks[2 * rnd : 2 * rnd + 2]
             assert sum(k.shape[0] for k in round_chunks) == pool - rnd * cfg.budget
@@ -478,20 +512,22 @@ class TestPoolWithCopies:
                 assert similarity.distinct_rows(np.hstack(k.parts)) == (None, None)
 
     def test_only_the_pool_kernel_outlives_the_pool_arrays(self, monkeypatch):
-        # The features and gradient parts the kernel is built from are
-        # gone when selection starts, partitioned or not.
+        # The features and gradient parts the round's kernels are built
+        # from, the pool's and P's, are gone when selection starts,
+        # partitioned or not.
         seen, alive = [], []
         parts = harness.gradient_parts
 
         def recorded(model, features, labels):
             resid, xb = parts(model, features, labels)
-            seen[:] = [weakref.ref(a) for a in (features, resid, xb)]
+            seen.extend(weakref.ref(a) for a in (features, resid, xb))
             return resid, xb
 
         def checked(name, select):
             def run(*args, **kwargs):
                 gc.collect()
-                alive.append((name, sum(ref() is not None for ref in seen)))
+                alive.append((name, sum(ref() is not None for ref in seen), len(seen)))
+                seen.clear()
                 return select(*args, **kwargs)
             return run
 
@@ -503,7 +539,8 @@ class TestPoolWithCopies:
                              method="logdetcg", optimizer={"partitions": p}) for p in (1, 2)]
         for cfg in runs:
             run_al(cfg)
-        rounds = [("greedy_select", 0)] * 2 + [("partitioned_select", 0)] * 2
+        # Three arrays from each of the round's two calls, the pool's and P's.
+        rounds = [("greedy_select", 0, 6)] * 2 + [("partitioned_select", 0, 6)] * 2
         assert alive == rounds * 2
 
     def test_partitioned_runs_over_a_pool_with_copies_are_pinned_by_digest(self):
@@ -536,8 +573,9 @@ class TestPoolWithCopies:
                           method="logdetcg")
         split, _, _ = build_scenario(cfg)
         res = run_al(cfg)
+        assert len(rows) == 2 * cfg.rounds  # each round: the pool's call, then P's
         unlabeled = set(split.unlabeled.tolist())
-        for n_rows, rec in zip(rows, res.records, strict=True):
+        for n_rows, rec in zip(rows[::2], res.records, strict=True):
             feats = split.features[sorted(unlabeled)]
             assert n_rows == len(np.unique(feats, axis=0)) < len(unlabeled)
             unlabeled -= set(rec.selected)
