@@ -71,22 +71,20 @@ accepted: they are the reference the factored path is tested against.
 Every solve, dense or factored, is a numpy call (``np.linalg.solve`` on
 a Cholesky factor), and this module imports numpy alone.
 
-A ``SelectionState`` memoizes gains in one of two forms, so that they are
-cheap and a commit sequence reproduces the from-scratch value within 1e-8
-absolute (1e-6 relative for log-det).  A log-det kind keeps one
-``_LogDetTerm`` per term: an incremental Cholesky factor and the residual
-pivot of every row of uu (of every distinct row on an indexed factor), over
-a dense or a factored uu; a point's gain reads its row's pivots, so copies
-of a row tie exactly and naive greedy takes the lowest index among them.
-A chosen point's copies stay selectable, at the pivot of a point
-conditioned on its own copy.  Every other kind's gain is
+A ``SelectionState`` memoizes gains so that they are cheap and a commit
+sequence reproduces the from-scratch value within 1e-8 absolute (1e-6
+relative for log-det).  Every kind's gain is
 lin[x] + w sum_i max(cov[x,i] - covered_i, 0) - lam (S_xx + 2 sum_A S_xa),
-from the parts it has: a modular vector (flqmi's max_Q S_x, the graph-cut
-row sums), a coverage block with running maxima (the block above, with
-w = eta for div_gcmi; flqmi's uq) and the cross sums of gc and gccg.
-A batch of gains is one array expression over these parts, except that
-a coverage block's rises are read one row per candidate once the
-selection is not empty.
+from the parts it has: a coverage block with running maxima (the block
+above, with w = eta for div_gcmi; flqmi's uq), the cross sums of gc and
+gccg, and a vector lin: flqmi's max_Q S_x, the graph-cut row sums, or, per
+row of uu (per distinct row on an indexed factor), the signed sum of the
+residual log pivots of a log-det kind's ``_LogDetTerm``s, rewritten after
+each commit.  So copies of a row tie exactly, naive greedy takes the lowest
+index among them, and a chosen point's copies stay selectable, at the pivot
+of a point conditioned on its own copy.  A batch of gains is one array
+expression over these parts, except that a coverage block's rises are read
+one row per candidate once the selection is not empty.
 """
 
 from __future__ import annotations
@@ -385,16 +383,14 @@ def _correction(f: InfoFunction, key: str) -> np.ndarray | None:
     m = cross.shape[1]
     if m == 0:
         return None
-    if not isinstance(cross, FactoredKernel):
-        return np.linalg.solve(_chol_of(f, key), cross.T)
-    fx = cross.right
-    r = fx.shape[1]
-    if m <= r:
-        return np.linalg.solve(_chol_of(f, key), fx)
+    if not _above_rank(cross):
+        s_xu = cross.right if isinstance(cross, FactoredKernel) else cross.T
+        return np.linalg.solve(_chol_of(f, key), s_xu)
     if f.eps <= 0.0:
         raise NumericalError(
-            f"singular {_SET_LABELS[key]} block: {m} points on rank-{r} factors with eps = 0"
+            f"singular {_SET_LABELS[key]} block: {m} points on rank-{cross.rank} factors with eps = 0"
         )
+    fx = cross.right
     lam, vecs = np.linalg.eigh(fx.T @ fx)
     np.maximum(lam, 0.0, out=lam)
     return np.sqrt(lam / (lam + f.eps))[:, None] * vecs.T
@@ -618,14 +614,14 @@ class _LogDetTerm:
     """Incremental log det(M_A) over M = (S_UU + eps I) - W^T W, with W
     ``_correction``'s whitened cross (None: no conditioning).
 
-    Keeps the squared residual pivot ``dsq`` of every row of uu, so a gain
-    is an O(1) lookup, and the Cholesky columns ``cof`` of the committed
-    set.  The selection state passes a factor with a row index as its
-    ``FactoredKernel.distinct`` rows: copies of a point have equal kernel
-    rows and so equal pivots, kept once.  A commit is split in two, so
-    that the selection state reads row j once for all its terms:
-    ``column`` forms the new column from row j of S_UU and subtracts the
-    earlier columns, weighted by their entries in row j, and ``lower``
+    Keeps the squared residual pivot ``dsq`` of every row of uu, whose
+    logs the selection state sums into its gains, and the Cholesky columns
+    ``cof`` of the committed set.  The selection state passes a factor with
+    a row index as its ``FactoredKernel.distinct`` rows: copies of a point
+    have equal kernel rows and so equal pivots, kept once.  A commit is
+    split in two, so that the selection state reads row j once for all its
+    terms: ``column`` forms the new column from row j of S_UU and subtracts
+    the earlier columns, weighted by their entries in row j, and ``lower``
     takes the squares of the new column's entries off the pivots.
 
     On a dense S_UU a column is an n-vector, O(n |A|) per commit.  On
@@ -657,9 +653,6 @@ class _LogDetTerm:
         self.cof = np.zeros((uu.rank if self.factored else uu.shape[0], 8))
         self.k = 0
         self.warnings = 0
-
-    def gain(self, x) -> float | np.ndarray:
-        return np.log(np.maximum(self.dsq[x], _PIVOT_FLOOR))
 
     def column(self, j: int, row: np.ndarray) -> np.ndarray:
         """Append and return the Cholesky column of j, given ``row``: row
@@ -705,7 +698,7 @@ class SelectionState:
         self.value = 0.0
         self._mask = np.zeros(f.n, dtype=bool)
         self._terms: list[tuple[float, _LogDetTerm]] = []
-        self._lin = self._cov = self._cross = None
+        self._lin = self._cov = self._cross = self._row_of = None
         kind = f.kind
         if kind in LOGDET_FAMILY:
             # The terms keep one state row per row of _rows_uu: point x is
@@ -717,6 +710,8 @@ class SelectionState:
                 (sign, _LogDetTerm(self._rows_uu, f.eps, f._w.get(key)))
                 for sign, key in _LOGDET_TERMS[kind]
             ]
+            self._lin, self._buf = np.empty((2, self._rows_uu.shape[0]))
+            self._log_gains()
         elif kind == "flqmi":  # sum_A max_Q is modular, sum_Q max_A covers uq
             self._lin, self._cov, self._weight = _row_max(f.uq), f.uq, 1.0
             self._cov_sums = np.add.reduce(np.maximum(f.uq, 0.0), axis=1)  # rises at A = {}
@@ -743,20 +738,17 @@ class SelectionState:
     def gain(self, x: int) -> float:
         """Marginal gain of adding x to the current selection.
 
-        Coverage gains are pointwise rises of the running maxima summed,
-        which keeps them a pure function of those maxima and numerically
-        nonincreasing as the selection grows (both needed for the lazy and
-        naive variants to agree bit for bit).  The rises are float64 even
-        on a float32 block: its row upcasts exactly against the float64
-        maxima.
+        A log-det gain is a lookup.  Coverage gains are pointwise rises of
+        the running maxima summed, which keeps them a pure function of those
+        maxima and numerically nonincreasing as the selection grows (both
+        needed for the lazy and naive variants to agree bit for bit).  The
+        rises are float64 even on a float32 block: its row upcasts exactly
+        against the float64 maxima.
         """
         if self._mask[x]:
             raise ValueError(f"index {x} already selected")
-        if self._terms:
-            j = self._row(x)
-            return float(sum(sign * term.gain(j) for sign, term in self._terms))
         if self._cov is None:
-            g = self._lin[x]
+            g = self._lin[self._row(x)]
         else:
             # Upcast first: a mixed float32 - float64 ufunc ran about 30%
             # slower than this copy and in-place subtract (same values).
@@ -766,7 +758,7 @@ class SelectionState:
             covered = np.add.reduce(np.maximum(rise, 0.0, out=rise))
             if self._lin is None:
                 return float(covered)
-            g = self._lin[x] + self._weight * covered
+            g = self._lin[self._row(x)] + self._weight * covered
         if self._cross is not None:
             g -= self.f.gc_lambda * (self._diag[x] + 2.0 * self._cross[x])
         return float(g)
@@ -778,14 +770,12 @@ class SelectionState:
 
         Each batch applies the scalar path's elementwise ufuncs, in the
         same order, to the same operands, and an elementwise ufunc computes
-        each element as it computes a lone scalar.  The log-det family reads
-        its pivot arrays once (maximum with the floor, log, the sign
-        product, then the terms summed left to right from 0), over all
-        rows, and each candidate takes its row's value; the modular
-        and cross parts are indexed once.  A coverage block's rises are read
-        row by row once something is chosen; at the empty selection each
-        rise is the entry itself, so its sum is the row sum the block's
-        build took with the same reduction.
+        each element as it computes a lone scalar.  The vector and cross
+        parts are indexed once, so a log-det batch is a gather of the
+        floats ``gain`` reads.  A coverage block's rises are read row by
+        row once something is chosen; at the empty selection each rise is
+        the entry itself, so its sum is the row sum the block's build took
+        with the same reduction.
         """
         candidates = np.asarray(candidates, dtype=np.intp)
         if self._cov is not None and self.chosen:
@@ -793,10 +783,7 @@ class SelectionState:
         chosen = candidates[self._mask[candidates]]
         if chosen.size:
             raise ValueError(f"index {chosen[0]} already selected")
-        if self._terms:
-            per_row = sum(sign * term.gain(slice(None)) for sign, term in self._terms)
-            return per_row[self._row(candidates)]
-        g = None if self._lin is None else self._lin[candidates]
+        g = None if self._lin is None else self._lin[self._row(candidates)]
         if self._cov is not None:
             covered = self._cov_sums[candidates]
             g = covered if g is None else g + self._weight * covered
@@ -805,8 +792,18 @@ class SelectionState:
         return g
 
     def _row(self, x):
-        """The log-det state rows of points ``x``."""
+        """The state rows of points ``x`` (distinct rows on an indexed factor)."""
         return x if self._row_of is None else self._row_of[x]
+
+    def _log_gains(self) -> None:
+        """Refresh ``_lin`` in place to each row's signed sum of log pivots,
+        summed from 0 through a kept buffer (fresh arrays at each commit
+        raised rare-logdetmi's peak RSS)."""
+        self._lin[:] = 0.0
+        for sign, term in self._terms:
+            np.log(np.maximum(term.dsq, _PIVOT_FLOOR, out=self._buf), out=self._buf)
+            self._buf *= sign
+            self._lin += self._buf
 
     def commit(self, x: int) -> float:
         """Add x to the selection; returns the realized gain."""
@@ -829,6 +826,7 @@ class SelectionState:
             cols = [term.column(j, row) for _, term in self._terms]
             for (_, term), e in zip(self._terms, uu.dot(np.stack(cols)) if factored else cols):
                 term.lower(e)
+            self._log_gains()
         self._mask[x] = True
         self.chosen.append(int(x))
         self.value += g

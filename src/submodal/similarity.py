@@ -159,8 +159,6 @@ def khatri_rao_factors(resid: np.ndarray, xb: np.ndarray, index=None) -> "Factor
     """
     r = EmbeddingMatrix.from_array(resid)
     x = EmbeddingMatrix.from_array(xb)
-    if r.rows != x.rows:
-        raise ValueError(f"parts must align: {r.rows} vs {x.rows} rows")
     return FactoredKernel(parts=(_normalized_rows(r), _normalized_rows(x)), index=index)
 
 

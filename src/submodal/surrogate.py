@@ -55,11 +55,18 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _loss(weights, xb, onehot, l2) -> tuple[float, np.ndarray]:
+def _loss(weights, xb, labels, l2) -> tuple[float, np.ndarray]:
     """Regularized cross-entropy and the softmax it was computed from."""
     probs = _softmax(xb @ weights.T)
-    ce = -np.mean(np.log(np.maximum((probs * onehot).sum(axis=1), 1e-300)))
+    ce = -np.mean(np.log(np.maximum(probs[np.arange(len(labels)), labels], 1e-300)))
     return float(ce + 0.5 * l2 * np.sum(weights * weights)), probs
+
+
+def _residual(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The cross-entropy residual p_i - e_{y_i} of each row."""
+    resid = probs.copy()
+    resid[np.arange(len(labels)), labels] -= 1.0
+    return resid
 
 
 def train(
@@ -89,20 +96,18 @@ def train(
 
     xb = _with_bias(features)
     n, d1 = xb.shape
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
 
     rng = np.random.default_rng(config.seed)
     weights = 0.01 * rng.standard_normal((c, d1))
     lr = config.learning_rate
     halvings = 0
-    loss, probs = _loss(weights, xb, onehot, config.l2)
+    loss, probs = _loss(weights, xb, labels, config.l2)
 
     for _ in range(config.epochs):
-        grad = (probs - onehot).T @ xb / n + config.l2 * weights
+        grad = _residual(probs, labels).T @ xb / n + config.l2 * weights
         while True:
             candidate = weights - lr * grad
-            new_loss, new_probs = _loss(candidate, xb, onehot, config.l2)
+            new_loss, new_probs = _loss(candidate, xb, labels, config.l2)
             if new_loss <= loss:
                 weights, loss, probs = candidate, new_loss, new_probs
                 break
@@ -143,9 +148,7 @@ def gradient_parts(
     labels = np.asarray(labels, dtype=np.intp)
     if labels.shape != (probs.shape[0],):
         raise ValueError("labels must align with feature rows")
-    resid = probs.copy()
-    resid[np.arange(len(labels)), labels] -= 1.0
-    return resid, _with_bias(np.asarray(features, dtype=np.float64))
+    return _residual(probs, labels), _with_bias(np.asarray(features, dtype=np.float64))
 
 
 def gradient_embeddings(

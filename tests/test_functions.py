@@ -711,6 +711,27 @@ def test_batch_gains_reject_a_chosen_index(rng):
         state.gains(np.arange(5))
 
 
+def _no_log(*args, **kwargs):
+    raise AssertionError("a gain read took a logarithm")
+
+
+@pytest.mark.parametrize("form", [0, 1], ids=["dense", "factored"])
+@pytest.mark.parametrize("kind", sorted(LOGDET_FAMILY))
+def test_reading_a_logdet_gain_takes_no_logarithm(kind, form, rng, monkeypatch):
+    # The log pivots are taken at set-up and at each commit; a batch of
+    # gains is a gather of them, and a lone gain a lookup.
+    u, q, p = rng.standard_normal((12, 4)), rng.standard_normal((2, 4)), rng.standard_normal((3, 4))
+    u[7] = u[2]  # one pool row copied
+    state = new_state(dense_and_factored(kind, u, q, p)[form])
+    state.commit(2)
+    state.commit(5)
+    rest = np.flatnonzero(~state._mask)
+    want = np.array([state.gain(int(x)) for x in rest])
+    monkeypatch.setattr(np, "log", _no_log)
+    assert np.array_equal(state.gains(rest), want)
+    assert state.gain(int(rest[0])) == want[0]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
