@@ -114,14 +114,14 @@ def _default_output_dir(config: hn.RunConfig) -> Path:
 
 def _execute_run(config: hn.RunConfig) -> hn.RunResult:
     out = Path(config.output_dir) if config.output_dir else _default_output_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
     jsonl = None
 
     def flush_record(rec):
-        # Opened at the first record: a run that fails its checks, which
-        # all precede round 1, leaves no records file.
+        # Made and opened at the first record: a run that fails its checks,
+        # which all precede round 1, leaves no directory and no records file.
         nonlocal jsonl
         if jsonl is None:
+            out.mkdir(parents=True, exist_ok=True)
             jsonl = open(out / "records.jsonl", "w")
         jsonl.write(hn.records_to_jsonl_line(rec) + "\n")
         jsonl.flush()
@@ -184,7 +184,7 @@ def _cmd_sweep(args) -> int:
 
     jobs = [(config.to_dict(), m, s) for m in methods for s in seeds]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             outputs = list(pool.map(_sweep_worker, jobs))
     else:
         outputs = [_sweep_worker(j) for j in jobs]

@@ -68,6 +68,9 @@ The log-det kinds have one path that runs, the factored one, and
 ``from_joint`` builds them on factors too, so the acceptance gate checks
 that path.  Dense log-det blocks (uu with qq, pp and qp) are still
 accepted: they are the reference the factored path is tested against.
+``InfoFunction`` lays its blocks out once, in ``_factored_blocks`` when
+uu is a ``FactoredKernel`` and in ``_dense_blocks`` otherwise; each keeps
+only the blocks its kind reads.
 Every solve, dense or factored, is a numpy call (``np.linalg.solve`` on
 a Cholesky factor), and this module imports numpy alone.
 
@@ -120,10 +123,6 @@ RECTANGULAR_ONLY = frozenset({"flqmi", "gcmi"})
 # P (the U x P block); every other block a kind reads follows from these.
 READS_Q = frozenset({"flvmi", "flqmi", "gcmi", "logdetmi", "flcmi", "logdetcmi", "div_gcmi"})
 READS_P = frozenset({"flcg", "gccg", "logdetcg", "flcmi", "logdetcmi"})
-# The log-det kinds also read the dense squares of the sets they read.
-_NEEDS_QQ = LOGDET_FAMILY & READS_Q
-_NEEDS_PP = LOGDET_FAMILY & READS_P
-_NEEDS_QP = LOGDET_FAMILY & READS_Q & READS_P
 
 # Signed log-det terms of each log-det kind, each over the kernel
 # conditioned on the set its key names (None: unconditioned; "q" is Q,
@@ -155,29 +154,12 @@ def canonical_kind(name: str) -> str:
     return kind
 
 
-def _empty_block(n: int) -> np.ndarray:
-    return np.zeros((n, 0))
-
-
 def _as_block(arr, n_rows: int | None = None) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
     if out.ndim != 2:
         raise ValueError(f"kernel block must be 2-D, got shape {out.shape}")
     if n_rows is not None and out.shape[0] != n_rows:
         raise ValueError(f"kernel block has {out.shape[0]} rows, expected {n_rows}")
-    return out
-
-
-def _sized_block(val, shape: tuple[int, int], name: str) -> np.ndarray:
-    """A dense Q/P-sided block of exactly ``shape``; it may be absent
-    only when it is empty."""
-    if val is None:
-        if shape[0] and shape[1]:
-            raise ValueError(f"{name} block of shape {shape} is required, got None")
-        return np.zeros(shape)
-    out = _as_block(val)
-    if out.shape != shape:
-        raise ValueError(f"{name} block must have shape {shape}, got {out.shape}")
     return out
 
 
@@ -195,8 +177,10 @@ class InfoFunction:
     only their pruned coverage block (float32 above
     ``_FLOAT64_BLOCK_BYTES``, float64 below it and on dense input), and
     flqmi/gcmi keep a dense cut of ``uq``.  ``qq``, ``pp`` and ``qp`` are
-    never factored.
-    Alongside a dense ``uu`` each one a kind reads is required (unless
+    never factored.  The constructor lays the blocks out in one function
+    per form of ``uu``, ``_factored_blocks`` or ``_dense_blocks``; each
+    keeps the blocks the kind reads and sets the others to None.
+    Alongside a dense ``uu`` each square a kind reads is required (unless
     its set is empty); alongside a factored ``uu`` none may be given:
     Q and P are read from the factors of ``uq``/``up`` alone (see
     ``_correction``; ``evaluate`` cuts the dense blocks it needs).
@@ -238,52 +222,11 @@ class InfoFunction:
                     "factored, and uq/up only alongside a factored uu"
                 )
 
-        if kind in RECTANGULAR_ONLY:
-            if self.uq is None:
-                raise ValueError(f"{kind} requires the U x Q block")
-            uq = _as_block(_cut(_as_factored_cross(self.uq, self.uu, "uq")) if factored else self.uq)
-            n = uq.shape[0]
-            object.__setattr__(self, "uq", uq)
-            object.__setattr__(self, "uu", None)
-        elif factored:
-            if not self.uu.symmetric:
-                raise ValueError("factored U x U block must be symmetric (no right factor)")
-            n = self.uu.shape[0]
-        else:
-            if self.uu is None:
-                raise ValueError(f"{kind} requires the square U x U block")
-            uu = _as_block(self.uu)
-            _check_symmetric(uu)
-            n = uu.shape[0]
-            object.__setattr__(self, "uu", uu)
-
-        for name, needed in (("uq", kind in READS_Q), ("up", kind in READS_P)):
-            if name == "uq" and kind in RECTANGULAR_ONLY:
-                continue  # normalized above
-            val = getattr(self, name)
-            if not needed:
-                val = None
-            elif factored:
-                val = _as_factored_cross(val, self.uu, name)
-            else:
-                val = _as_block(_empty_block(n) if val is None else val, n)
-            object.__setattr__(self, name, val)
-
-        q = self.uq.shape[1] if self.uq is not None else 0
-        p = self.up.shape[1] if self.up is not None else 0
-        for name, needed, shape in (
-            ("qq", kind in _NEEDS_QQ, (q, q)),
-            ("pp", kind in _NEEDS_PP, (p, p)),
-            ("qp", kind in _NEEDS_QP, (q, p)),
-        ):
-            val = getattr(self, name)
-            if factored and val is not None:
-                raise ValueError(
-                    f"{name} may not be given when uu is factored: it is read from "
-                    "the factors of uq/up"
-                )
-            val = _sized_block(val, shape, name) if needed and not factored else None
-            object.__setattr__(self, name, val)
+        if kind in RECTANGULAR_ONLY and self.uq is None:
+            raise ValueError(f"{kind} requires the U x Q block")
+        blocks = (_factored_blocks if factored else _dense_blocks)(self, kind)
+        for name, block in zip(("uu", "uq", "up", "qq", "pp", "qp"), blocks):
+            object.__setattr__(self, name, block)
 
         # Built here, so a singular query/conditioning set fails fast.
         for _, key in _LOGDET_TERMS.get(kind, ()):
@@ -316,6 +259,56 @@ class InfoFunction:
             meta["eta"] = self.eta
             meta["heuristic_reconstruction"] = True
         return meta
+
+
+def _factored_blocks(f: InfoFunction, kind: str) -> tuple:
+    """Normalised uu, uq, up, qq, pp and qp of ``f`` on a factored uu:
+    uq/up share its U factor (an absent set gets no columns), and
+    flqmi/gcmi keep only a dense cut of uq."""
+    uu = f.uu
+    if kind not in RECTANGULAR_ONLY and not uu.symmetric:
+        raise ValueError("factored U x U block must be symmetric (no right factor)")
+    uq = _as_factored_cross(f.uq, uu, "uq") if kind in READS_Q else None
+    up = _as_factored_cross(f.up, uu, "up") if kind in READS_P else None
+    for name in ("qq", "pp", "qp"):
+        if getattr(f, name) is not None:
+            raise ValueError(
+                f"{name} may not be given when uu is factored: it is read from "
+                "the factors of uq/up"
+            )
+    if kind in RECTANGULAR_ONLY:
+        return None, _as_block(_cut(uq)), None, None, None, None
+    return uu, uq, up, None, None, None
+
+
+def _dense_blocks(f: InfoFunction, kind: str) -> tuple:
+    """Normalised uu, uq, up, qq, pp and qp of ``f`` on dense blocks:
+    uq/up have n rows (n x 0 when absent), a log-det kind keeps the
+    square of each pair of sets it reads, and flqmi/gcmi keep only uq."""
+    if kind in RECTANGULAR_ONLY:
+        return None, _as_block(f.uq), None, None, None, None
+    if f.uu is None:
+        raise ValueError(f"{kind} requires the square U x U block")
+    uu = _as_block(f.uu)
+    _check_symmetric(uu)
+    n = uu.shape[0]
+    uq, up = (
+        _as_block(np.zeros((n, 0)) if val is None else val, n) if reads else None
+        for val, reads in ((f.uq, kind in READS_Q), (f.up, kind in READS_P))
+    )
+    squares = []
+    for name, x, y in (("qq", uq, uq), ("pp", up, up), ("qp", uq, up)):
+        val = None
+        if kind in LOGDET_FAMILY and x is not None and y is not None:
+            shape = (x.shape[1], y.shape[1])
+            val = getattr(f, name)
+            if val is None and 0 not in shape:
+                raise ValueError(f"{name} block of shape {shape} is required, got None")
+            val = np.zeros(shape) if val is None else _as_block(val)
+            if val.shape != shape:
+                raise ValueError(f"{name} block must have shape {shape}, got {val.shape}")
+        squares.append(val)
+    return (uu, uq, up, *squares)
 
 
 def _as_factored_cross(val, uu: FactoredKernel, name: str) -> FactoredKernel:

@@ -212,7 +212,6 @@ class RoundRecord:
 @dataclass
 class RunResult:
     records: list[RoundRecord]
-    model: SurrogateModel
     guard_violations: int
     summary: dict
 
@@ -394,7 +393,6 @@ def run_al(
     records: list[RoundRecord] = []
     selections = []  # the rounds' SelectionResults (none for a baseline)
     cumulative: list[int] = []
-    model = None
     function_metadata = None
     start = time.perf_counter()
     for rnd in range(1, config.rounds + 1):
@@ -447,9 +445,7 @@ def run_al(
     }
     if function_metadata is not None:
         summary["function_metadata"] = function_metadata
-    return RunResult(
-        records=records, model=model, guard_violations=guard.violations, summary=summary
-    )
+    return RunResult(records=records, guard_violations=guard.violations, summary=summary)
 
 
 # ---------------------------------------------------------------------------

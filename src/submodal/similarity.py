@@ -75,14 +75,11 @@ class SimilarityKernel:
     entries in [0, 1] after rescaling."""
 
     data: np.ndarray
-    symmetric: bool
 
     def __post_init__(self):
         data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
         if data.ndim != 2:
             raise ValueError("kernel data must be 2-D")
-        if self.symmetric and data.shape[0] != data.shape[1]:
-            raise ValueError("symmetric kernel must be square")
         object.__setattr__(self, "data", data)
 
 
@@ -114,8 +111,8 @@ def cosine_kernel(a: EmbeddingMatrix, b: EmbeddingMatrix | None = None) -> Simil
 
     The raw cosines are ``FactoredKernel.take`` products of unit rows, in
     its row blocks, clipped to [-1, 1] and mapped to (1 + s) / 2 in [0, 1].
-    The kernel is marked symmetric iff ``b`` is the same matrix as ``a``
-    (or omitted), in which case ``take`` pins the diagonal to exactly 1.
+    When ``b`` is the same matrix as ``a`` (or omitted), ``take`` pins the
+    diagonal to exactly 1.
     """
     same = b is None or b is a
     bm = a if same else b
@@ -125,7 +122,7 @@ def cosine_kernel(a: EmbeddingMatrix, b: EmbeddingMatrix | None = None) -> Simil
     np.clip(rescaled, -1.0, 1.0, out=rescaled)
     rescaled += 1.0
     rescaled *= 0.5
-    return SimilarityKernel(data=rescaled, symmetric=same)
+    return SimilarityKernel(data=rescaled)
 
 
 def cosine_factors(a: np.ndarray) -> np.ndarray:

@@ -529,6 +529,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be factored"):
             InfoFunction(kind="logdetcg", uu=FactoredKernel(fu), up=np.ones((5, 2)), pp=np.eye(2))
 
+    def test_each_layout_keeps_only_the_blocks_its_kind_reads(self, rng):
+        fu = cosine_factors(rng.standard_normal((6, 3)))
+        uu = FactoredKernel(fu)
+        f = InfoFunction(kind="flqmi", uu=uu, uq=uu.cross(fu[:2]), up=uu.cross(fu[2:5]))
+        assert f.uu is None and f.up is None
+        assert type(f.uq) is np.ndarray and f.uq.shape == (6, 2)
+
+        joint = rescaled_cosine(rng, 6)
+        f = InfoFunction(
+            kind="flvmi", uu=joint, uq=joint[:, :2], up=joint[:, 2:4],
+            qq=joint[:2, :2], pp=joint[2:4, 2:4], qp=joint[:2, 2:4],
+        )
+        assert (f.up, f.qq, f.pp, f.qp) == (None, None, None, None)
+
+        f = InfoFunction(kind="logdetcg", uu=joint, up=joint[:, 4:], pp=joint[4:, 4:], qq=np.eye(2))
+        assert (f.uq, f.qq, f.qp) == (None, None, None)
+        assert f.pp.shape == (2, 2)
+
     def test_div_gcmi_is_flagged_heuristic(self, rng):
         joint = rescaled_cosine(rng, 5)
         f = build("div_gcmi", joint, q=[4])

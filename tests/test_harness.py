@@ -1089,6 +1089,44 @@ def test_sweep_with_one_seed_exits_two_before_any_run(monkeypatch, tmp_path):
     assert calls == []
 
 
+def test_sweep_forks_no_more_workers_than_it_has_runs(monkeypatch, tmp_path):
+    import submodal.cli as cli
+
+    seen = []
+
+    class InProcessExecutor:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessExecutor)
+    rc = cli_main(
+        ["sweep", "--scenario", "rare", "--methods", "random,flqmi", "--num-seeds", "2",
+         "--rounds", "1", "--budget", "5", "--set", "scenario_params.unlabeled_common=60",
+         "--set", "test_per_class=10", "--jobs", "64", "--output-dir", str(tmp_path)]
+    )
+    assert rc == 0
+    assert seen == [4]
+
+
+def test_a_run_that_fails_its_checks_makes_no_output_dir(tmp_path, capsys):
+    rc = cli_main(
+        ["run", "--scenario", "rare", "--function", "random", "--rounds", "100", "--budget", "50",
+         "--set", "scenario_params.unlabeled_common=60", "--output-dir", str(tmp_path / "out" / "run")]
+    )
+    assert rc == 2
+    assert "exceeds the unlabeled pool" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
